@@ -32,7 +32,6 @@
 #include "sim/core.hh"
 #include "sim/cpu_model.hh"
 #include "sim/executor.hh"
-#include "sim/snapshot.hh"
 
 namespace lf {
 namespace {
@@ -137,73 +136,6 @@ measureCoreReuse(int iters, int reps, double &construct_ns,
     }
 }
 
-/** The snapshot-gate cell: the throughput spec made quiet (every
- *  noise knob zeroed, so the RNG tripwire stays untripped) with the
- *  >= 32-bit calibration preamble the gate specifies — a batch whose
- *  repeated calibration the warm snapshots exist to amortize. */
-ExperimentSpec
-snapshotSpec()
-{
-    ExperimentSpec spec = throughputSpec();
-    spec.preambleBits = 32;
-    spec.overrides["model.noiseStddevCycles"] = 0;
-    spec.overrides["model.spikeProb"] = 0;
-    spec.overrides["model.jitterPerKcycle"] = 0;
-    spec.overrides["model.sgxEntryJitterStddev"] = 0;
-    spec.overrides["model.raplNoiseStddevMicroJoules"] = 0;
-    return spec;
-}
-
-/** Direct restore-vs-replay comparison: nanoseconds to restore a
- *  captured WarmSnapshot onto a live context vs to re-run the
- *  calibration it replaces — the per-trial work the snapshot cache
- *  saves. Returns false if the cell unexpectedly fails to snapshot
- *  (the caller turns that into a failed shape check). */
-bool
-measureSnapshotRestore(int iters, int reps, double &restore_ns,
-                       double &replay_ns)
-{
-    using Clock = std::chrono::steady_clock;
-    TrialContext ctx;
-    const ExperimentSpec spec = snapshotSpec();
-    if (!resolveTrial(spec, ctx).empty())
-        return false;
-    const auto channel = makeChannel(spec.channel, ctx);
-    const CovertChannel::Calibration calib = channel->calibrate(ctx);
-    if (!calib.rngUntouched)
-        return false;
-    const WarmSnapshotPtr snap = captureWarmSnapshot(ctx, calib);
-    if (!snap)
-        return false;
-    restore_ns = 0.0;
-    replay_ns = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        Clock::time_point start = Clock::now();
-        for (int i = 0; i < iters; ++i) {
-            restoreWarmSnapshot(ctx, *snap);
-            benchmark::DoNotOptimize(ctx.core().cycle());
-        }
-        const double restore =
-            std::chrono::duration<double, std::nano>(Clock::now() -
-                                                     start)
-                .count() / iters;
-        start = Clock::now();
-        for (int i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(
-                channel->calibrate(ctx).preambleBits);
-        }
-        const double replay =
-            std::chrono::duration<double, std::nano>(Clock::now() -
-                                                     start)
-                .count() / iters;
-        if (rep == 0 || restore < restore_ns)
-            restore_ns = restore;
-        if (rep == 0 || replay < replay_ns)
-            replay_ns = replay;
-    }
-    return true;
-}
-
 int
 emitRunnerThroughput(bool smoke, int repeat)
 {
@@ -254,7 +186,7 @@ emitRunnerThroughput(bool smoke, int repeat)
             reused_t8 = reused_tps;
     }
 
-    // Legacy hot path, measured in-run: both caching layers off
+    // Legacy hot path, measured in-run: program caching off
     // reproduces the PR-5-era per-trial setup cost (rebuild every
     // chain, re-decode on every setProgram bind). The ratio checks
     // that the program/chunk cache still pays for itself; the
@@ -296,48 +228,6 @@ emitRunnerThroughput(bool smoke, int repeat)
     report.number("counters_on_t1_trials_per_sec", counters_on_t1);
     report.number("pr7_gate_trials_per_sec", pr7_gate);
     report.number("counters_off_overhead_gate", 0.98 * pr7_gate);
-
-    // Warm-snapshot section (sim/snapshot.hh): one quiet sweep cell
-    // with a 32-bit calibration preamble, run with the cache off
-    // (every trial calibrates cold) and on (the first trial
-    // calibrates, the rest restore). Same batch, bit-identical
-    // results — the ratio is pure calibration amortization.
-    const auto snap_batch = expandTrials(snapshotSpec(), trials);
-    double snap_off_t1 = 0.0;
-    double snap_on_t1 = 0.0;
-    std::vector<double> snap_off_samples;
-    std::vector<double> snap_on_samples;
-    {
-        SnapshotCacheScope scope(false);
-        snap_off_t1 = trialsPerSec(ExperimentRunner(1), snap_batch,
-                                   reps, &snap_off_samples);
-    }
-    {
-        SnapshotCacheScope scope(true);
-        clearWarmSnapshotCache();
-        snap_on_t1 = trialsPerSec(ExperimentRunner(1), snap_batch,
-                                  reps, &snap_on_samples);
-        clearWarmSnapshotCache();
-    }
-    const double snapshot_speedup =
-        snap_off_t1 > 0.0 ? snap_on_t1 / snap_off_t1 : 0.0;
-    double restore_ns = 0.0;
-    double replay_ns = 0.0;
-    const bool snap_measured = measureSnapshotRestore(
-        smoke ? 200 : 2000, smoke ? 2 : 5, restore_ns, replay_ns);
-    std::printf("warm snapshots (32-bit preamble): on %.1f trials/s,"
-                " off %.1f trials/s (%.2fx); restore %.0f ns vs"
-                " replayed calibration %.0f ns\n",
-                snap_on_t1, snap_off_t1, snapshot_speedup, restore_ns,
-                replay_ns);
-    report.integer("snapshot_preamble_bits", 32);
-    report.number("snapshot_off_t1_trials_per_sec", snap_off_t1);
-    report.number("snapshot_on_t1_trials_per_sec", snap_on_t1);
-    report.numberArray("snapshot_off_t1_samples", snap_off_samples);
-    report.numberArray("snapshot_on_t1_samples", snap_on_samples);
-    report.number("snapshot_speedup_t1", snapshot_speedup);
-    report.number("snapshot_restore_ns", restore_ns);
-    report.number("snapshot_replay_ns", replay_ns);
 
     // Thundering-herd regression check, made deterministic: with a
     // batch smaller than the reorder window no worker can ever be a
@@ -422,12 +312,6 @@ emitRunnerThroughput(bool smoke, int repeat)
     rc |= bench::shapeCheck("counters-off throughput within 2% of the"
                             " PR-7 gate baseline",
                             reused_t1 >= 0.98 * pr7_gate);
-    rc |= bench::shapeCheck("warm-snapshot restore is cheaper than"
-                            " replaying the calibration",
-                            snap_measured && restore_ns < replay_ns);
-    rc |= bench::shapeCheck("snapshot cache >= 1.3x on the"
-                            " 32-bit-preamble batch (t1)",
-                            snapshot_speedup >= 1.3);
     // Thread scaling needs the hardware to scale on; on smaller CI
     // boxes the values above are still emitted for the trajectory.
     if (hw_threads >= 8) {

@@ -23,12 +23,10 @@ cmake --build build-asan -j "${JOBS}" \
              lf_obs_test_obs lf_run_test_sweep lf_run_test_cli \
              lf_noise_test_environment lf_defense_test_defense \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
-             lf_sim_test_snapshot \
              lf_run lf_campaign table_defenses campaign_overhead
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
-./build-asan/lf_sim_test_snapshot
 ./build-asan/lf_run_test_hooks
 ./build-asan/lf_obs_test_obs
 ./build-asan/lf_run_test_sweep
@@ -45,14 +43,11 @@ echo "== TSan: runner/streaming/campaign tests =="
 cmake -B build-tsan -S . -DLF_TSAN=ON
 cmake --build build-tsan -j "${JOBS}" \
     --target lf_run_test_runner lf_run_test_streaming \
-             lf_run_test_hooks lf_sim_test_snapshot \
+             lf_run_test_hooks \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_run
 ./build-tsan/lf_run_test_runner
 ./build-tsan/lf_run_test_streaming
-# The warm-snapshot cache is process-wide mutable state shared by all
-# runner workers; TSan gates its mutex + atomic-counter discipline.
-./build-tsan/lf_sim_test_snapshot
 ./build-tsan/lf_run_test_hooks
 ./build-tsan/lf_campaign_test_campaign
 ./build-tsan/lf_campaign_test_campaign_files
@@ -146,7 +141,7 @@ if grep -q "microbench_simulator" <<< "${asan_targets}"; then
     cmake --build build-asan -j "${JOBS}" --target microbench_simulator
     (cd build-asan && ./microbench_simulator --smoke > /dev/null)
     # Even in smoke mode the report must carry the counters-overhead
-    # and snapshot gate fields (timing gates only run un-smoked), the
+    # gate fields (timing gates only run un-smoked), the
     # best-of-N raw samples arrays, and a t8_over_t1 slot that is a
     # number or an explicit null — report the skip loudly either way.
     python3 - build-asan/BENCH_runner_throughput.json <<'EOF'
@@ -155,8 +150,6 @@ report = json.load(open(sys.argv[1]))
 for key in ("counters_off_t1_trials_per_sec",
             "counters_on_t1_trials_per_sec",
             "pr7_gate_trials_per_sec", "counters_off_overhead_gate",
-            "snapshot_speedup_t1", "snapshot_restore_ns",
-            "snapshot_replay_ns", "snapshot_preamble_bits",
             "hw_threads", "repeat"):
     assert key in report, key
 assert "t8_over_t1" in report, "t8_over_t1 slot missing"

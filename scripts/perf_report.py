@@ -47,11 +47,6 @@ def _gates(report):
          ["counters_off_t1_trials_per_sec",
           "counters_off_overhead_gate"],
          lambda tps, floor: tps >= floor)
-    gate("snapshot cache >= 1.3x (t1, 32-bit preamble)",
-         ["snapshot_speedup_t1"], lambda x: x >= 1.3)
-    gate("snapshot restore cheaper than replay",
-         ["snapshot_restore_ns", "snapshot_replay_ns"],
-         lambda restore, replay: restore < replay)
     gate("t8 >= 3x t1 thread scaling",
          ["t8_over_t1"], lambda x: x >= 3.0)
     return gates

@@ -27,12 +27,6 @@ ResultCache::entryPath(const ExperimentSpec &spec) const
     return root_ + "/" + key.substr(0, 2) + "/" + key + ".rec";
 }
 
-std::string
-ResultCache::legacyEntryPath(const ExperimentSpec &spec) const
-{
-    return root_ + "/" + trialKey(spec) + ".rec";
-}
-
 bool
 ResultCache::lookup(const ExperimentSpec &spec, ExperimentResult &res,
                     std::string &error) const
@@ -40,15 +34,9 @@ ResultCache::lookup(const ExperimentSpec &spec, ExperimentResult &res,
     error.clear();
     if (!enabled())
         return false;
-    std::string path = entryPath(spec);
-    if (!pathExists(path)) {
-        // Migration read path: a cache written before sharding filed
-        // this trial flat under the root. The sharded path wins when
-        // both exist (it is the one store() refreshes).
-        path = legacyEntryPath(spec);
-        if (!pathExists(path))
-            return false; // Plain miss.
-    }
+    const std::string path = entryPath(spec);
+    if (!pathExists(path))
+        return false; // Plain miss.
 
     std::string text;
     error = readFileText(path, text);

@@ -10,16 +10,13 @@
  * re-run) then skip every trial they share with history.
  *
  * Layout: `<root>/<k[0:2]>/<key>.rec`, two-level to keep directories
- * small at million-entry scale. Pre-sharding caches used a flat
- * `<root>/<key>.rec` layout; lookups fall back to it when the sharded
- * path is absent, so existing caches keep their history without a
- * migration step (new entries are always written sharded). Entries
- * are written atomically (writeFileAtomic), so a kill never leaves a
- * partial entry; on read, an entry must parse exactly AND its stored
- * spec must hash back to the key it was filed under — a corrupt,
- * truncated, or misfiled entry is a diagnosed error (path + reason),
- * never a silent wrong result and never treated as a mere miss (per
- * the file-hardening contract; delete the named file to recover).
+ * small at million-entry scale. Entries are written atomically
+ * (writeFileAtomic), so a kill never leaves a partial entry; on read,
+ * an entry must parse exactly AND its stored spec must hash back to
+ * the key it was filed under — a corrupt, truncated, or misfiled
+ * entry is a diagnosed error (path + reason), never a silent wrong
+ * result and never treated as a mere miss (per the file-hardening
+ * contract; delete the named file to recover).
  */
 
 #ifndef LF_CAMPAIGN_CACHE_HH
@@ -43,10 +40,6 @@ class ResultCache
 
     /** Entry file path for @p spec (valid only when enabled). */
     std::string entryPath(const ExperimentSpec &spec) const;
-
-    /** Where a pre-sharding (flat-layout) cache filed @p spec —
-     *  consulted by lookup() when entryPath() is absent. */
-    std::string legacyEntryPath(const ExperimentSpec &spec) const;
 
     /**
      * Look @p spec up. Outcomes: hit (@return true, @p res filled),

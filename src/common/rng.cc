@@ -14,15 +14,7 @@ rotl(std::uint64_t v, int k)
     return (v << k) | (v >> (64 - k));
 }
 
-thread_local std::uint64_t t_rngDraws = 0;
-
 } // namespace
-
-std::uint64_t
-rngThreadDraws()
-{
-    return t_rngDraws;
-}
 
 std::uint64_t
 splitmix64(std::uint64_t z)
@@ -47,7 +39,6 @@ Rng::Rng(std::uint64_t seed)
 std::uint64_t
 Rng::next()
 {
-    ++t_rngDraws;
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];

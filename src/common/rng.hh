@@ -25,16 +25,6 @@ namespace lf {
  */
 std::uint64_t splitmix64(std::uint64_t z);
 
-/**
- * Raw 64-bit values drawn by this thread so far, across every Rng
- * instance. All simulator nondeterminism funnels through Rng::next(),
- * so a zero delta across a code region proves the region was
- * RNG-independent — the warm-snapshot cache uses exactly this
- * tripwire to decide whether a calibration preamble may be reused
- * for trials with different seeds (src/sim/snapshot.hh).
- */
-std::uint64_t rngThreadDraws();
-
 /** Deterministic xoshiro256** generator with convenience draws. */
 class Rng
 {

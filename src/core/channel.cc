@@ -4,7 +4,6 @@
 #include <cmath>
 #include "common/edit_distance.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "core/trial_context.hh"
 #include "defense/defense.hh"
 #include "noise/environment.hh"
@@ -50,22 +49,6 @@ CovertChannel::observeSlot(TrialContext &ctx, bool bit)
     return env.perturbTiming(defense.filterTiming(raw));
 }
 
-void
-CovertChannel::prepareMachine(TrialContext &ctx)
-{
-    lf_assert(&ctx.core() == &core_,
-              "channel %s is bound to a different Core than the"
-              " TrialContext it is preparing in", name().c_str());
-    if (!setupDone_) {
-        setup();
-        setupDone_ = true;
-    }
-    // The defended machine is configured before the first slot
-    // (static partitions, MITE-only delivery); a no-op for an
-    // inactive defense.
-    ctx.defense().arm(core_);
-}
-
 CovertChannel::Calibration
 CovertChannel::calibrate(TrialContext &ctx, int preamble_bits)
 {
@@ -80,14 +63,14 @@ CovertChannel::calibrate(TrialContext &ctx, int preamble_bits)
         lf_fatal("preamble too short (%d bits; need >= 2)",
                  preamble_bits);
 
-    // The tripwire: every source of simulator nondeterminism funnels
-    // through Rng::next(), so a zero draw delta across setup + warmup
-    // + preamble proves the post-calibration state does not depend on
-    // the trial seed. Sampled before prepareMachine() so a channel
-    // whose setup() randomizes is caught too.
-    const std::uint64_t draws_before = rngThreadDraws();
-
-    prepareMachine(ctx);
+    if (!setupDone_) {
+        setup();
+        setupDone_ = true;
+    }
+    // The defended machine is configured before the first slot
+    // (static partitions, MITE-only delivery); a no-op for an
+    // inactive defense.
+    ctx.defense().arm(core_);
 
     // Warmup: the very first transmissions pay cold-start costs (L1I
     // and DSB fills, BTB misses) that would skew calibration; discard
@@ -118,7 +101,6 @@ CovertChannel::calibrate(TrialContext &ctx, int preamble_bits)
     calib.mean0 = sum0 / n0;
     calib.mean1 = sum1 / n1;
     calib.preambleBits = preamble_bits;
-    calib.rngUntouched = rngThreadDraws() == draws_before;
     return calib;
 }
 

@@ -145,38 +145,23 @@ class CovertChannel
 
     /**
      * The decoding reference produced by calibrate() and consumed by
-     * transmitMessage(). transmit() is exactly the composition of the
-     * two phases; they are exposed separately so the warm-snapshot
-     * cache (sim/snapshot.hh) can capture the core after calibration
-     * and replay later trials straight into the message phase.
+     * transmitMessage(); transmit() is exactly the composition of the
+     * two phases, which runExperiment() traces as separate spans.
      */
     struct Calibration
     {
         double mean0 = 0.0;          //!< Calibrated class means.
         double mean1 = 0.0;
         int preambleBits = 0;        //!< Calibration bits actually used.
-        /** RNG-draw tripwire: true when warmup + preamble consumed no
-         *  RNG draws on this thread — i.e. the post-calibration core
-         *  state is independent of the trial seed and may be shared
-         *  across trials. Noisy environments, stochastic defenses and
-         *  non-zero model noise all trip it. */
-        bool rngUntouched = false;
     };
 
     /**
      * Phase 1 of transmit(): resolve the preamble length (same
-     * fallback chain as transmit()), run prepareMachine(), then run
-     * the 4-slot warmup and the alternating calibration preamble
-     * (Sec. VI-B).
+     * fallback chain as transmit()), run setup() once, arm the
+     * context's Defense, then run the 4-slot warmup and the
+     * alternating calibration preamble (Sec. VI-B).
      */
     Calibration calibrate(TrialContext &ctx, int preamble_bits = -1);
-
-    /** The machine-configuration prefix of calibrate(): run setup()
-     *  once and arm the context's Defense. The snapshot restore path
-     *  calls this instead of calibrate() — the machine must be
-     *  configured (programs built, defense armed, hooks installed)
-     *  before a WarmSnapshot is replayed onto it. Idempotent. */
-    void prepareMachine(TrialContext &ctx);
 
     /** Phase 2 of transmit(): transmit @p message using the decoding
      *  reference in @p calib and assemble the ChannelResult. */

@@ -130,7 +130,8 @@ bool channelSupportedOn(const std::string &name, const CpuModel &model);
 /**
  * Apply one "key=value" style override to a config/extras pair. Keys
  * mirror the ChannelConfig field names plus the extras ("powerRounds",
- * "sgxRounds", "sgxMtSteps", "sgxMtMeasPerStep").
+ * "sgxRounds", "sgxMtSteps", "sgxMtMeasPerStep"). The caller
+ * range-checks receiverBase/senderBase to [0, 2^64) first.
  * @return false if @p key names no known knob.
  */
 bool applyChannelOverride(ChannelConfig &cfg, ChannelExtras &extras,

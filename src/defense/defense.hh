@@ -240,39 +240,6 @@ class Defense
      *  the running minimum, and smoothing pads down toward it. */
     double filterRate(double rate);
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * The per-trial slot/smoothing evolution only — the spec is
-     * identity (part of the snapshot key), the RNG belongs to the
-     * trial seed, and the armed-core pointer stays with whichever
-     * core this Defense is armed on. */
-    /// @{
-    struct WarmState
-    {
-        std::uint64_t slots;
-        std::uint64_t switches;
-        double worstObservable;
-        bool haveWorst;
-        double worstRate;
-        bool haveWorstRate;
-    };
-
-    WarmState saveWarmState() const
-    {
-        return {slots_,     switches_, worstObservable_,
-                haveWorst_, worstRate_, haveWorstRate_};
-    }
-
-    void loadWarmState(const WarmState &s)
-    {
-        slots_ = s.slots;
-        switches_ = s.switches;
-        worstObservable_ = s.worstObservable;
-        haveWorst_ = s.haveWorst;
-        worstRate_ = s.worstRate;
-        haveWorstRate_ = s.haveWorstRate;
-    }
-    /// @}
-
   private:
     double padObservable(double value);
     void onDomainSwitch(Core &core);

@@ -151,9 +151,9 @@ class FrontendEngine
      * supplied @p table (a prepared program's shared immutable
      * decode), then the engine's per-run memo keyed by Program::uid()
      * (so rebinding the same image never re-decodes it), and only
-     * then a fresh build. With setChunkTableReuseEnabled(false) every
-     * bind re-decodes — the pre-PR-7 cost the throughput bench uses
-     * as its baseline. Identical decode either way.
+     * then a fresh build. With setProgramCacheEnabled(false) every
+     * bind re-decodes — the rebuild-per-bind cost the throughput
+     * bench uses as its baseline. Identical decode either way.
      *
      * A caller-supplied @p table must describe @p program and must
      * outlive the binding (the PreparedChain contract).
@@ -290,66 +290,6 @@ class FrontendEngine
     Cycles cycle() const { return cycle_; }
     const FrontendParams &params() const { return params_; }
     bool lsdActive(ThreadId tid) const;
-    /// @}
-
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * A deep copy of every mutable field except params_ (config, not
-     * state: images are only restored onto an engine reset with the
-     * same resolved model) and tableMemo_ (pure memoization — the
-     * restored threads never point into it, see the localTable
-     * precondition on saveState()).
-     *
-     * Pointer lifetime is the caller's contract: program / chunks and
-     * the chunk pointers derived from them must outlive the image.
-     * The snapshot layer guarantees it by pinning the owning
-     * PreparedChains (frontend/prepared.hh) and bypassing every
-     * configuration where a thread's decode is not cache-owned.
-     */
-    /// @{
-    struct SavedThreadState
-    {
-        const Program *program;
-        const ChunkTable *chunks;
-        Addr pc;
-        const Chunk *nextChunk;
-        bool halted;
-        Cycles stall;
-        DeliveryPath lastSource;
-        UopQueue idq;
-        bool lsdActive;
-        std::vector<std::uint8_t> lsdBody;
-        std::size_t lsdPos;
-        Addr lsdHead;
-        LoopMonitor monitor;
-        bool nextIsBlockStart;
-        bool prevChunkLcp;
-        const Chunk *pendingChunk;
-        bool pendingFromDsb;
-        std::vector<std::uint64_t> condCounts;
-        PerfCounters counters;
-    };
-
-    struct SavedState
-    {
-        L1iCache l1i;
-        Dsb dsb;
-        Bpu bpu;
-        bool dsbEnabled;
-        bool lsdStaticPartition;
-        std::array<SavedThreadState, kNumThreads> threads;
-        Cycles cycle;
-        Cycles fastForwardedCycles;
-        int lastSlot;
-        std::vector<std::uint64_t> poisonDeadline;
-        std::uint64_t blockClock;
-    };
-
-    /** Precondition: no thread holds a per-bind localTable (fatal
-     *  otherwise — such decodes die with the trial and cannot be
-     *  pinned). */
-    SavedState saveState() const;
-
-    void loadState(const SavedState &s);
     /// @}
 
   private:

@@ -12,7 +12,6 @@ namespace lf {
 namespace {
 
 std::atomic<bool> g_programCacheEnabled{true};
-std::atomic<bool> g_chunkTableReuseEnabled{true};
 
 std::atomic<std::uint64_t> g_preparedHits{0};
 std::atomic<std::uint64_t> g_preparedMisses{0};
@@ -165,18 +164,6 @@ programCacheEnabled()
     return g_programCacheEnabled.load(std::memory_order_relaxed);
 }
 
-void
-setChunkTableReuseEnabled(bool on)
-{
-    g_chunkTableReuseEnabled.store(on, std::memory_order_relaxed);
-}
-
-bool
-chunkTableReuseEnabled()
-{
-    return g_chunkTableReuseEnabled.load(std::memory_order_relaxed);
-}
-
 std::uint64_t
 preparedCacheHits()
 {
@@ -213,19 +200,6 @@ clearProgramCache()
 {
     std::lock_guard<std::mutex> lock(cache().mutex);
     cache().entries.clear();
-}
-
-PreparedChainPtr
-findPreparedChain(const Program *program, const ChunkTable *table)
-{
-    std::lock_guard<std::mutex> lock(cache().mutex);
-    for (const auto &entry : cache().entries) {
-        const PreparedChainPtr &prepared = entry.second;
-        if (&prepared->chain.program == program &&
-            &prepared->table == table)
-            return prepared;
-    }
-    return nullptr;
 }
 
 } // namespace lf

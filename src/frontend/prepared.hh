@@ -15,10 +15,9 @@
  * sharing is safe — and a trial's hot path does no decode work at all.
  *
  * Caching never changes results: a cached PreparedChain is
- * bit-identical to a freshly built one, and the enable switches below
- * exist precisely so tests and benches can prove that (and so the
- * throughput bench can measure the PR-5-era rebuild-per-trial cost
- * in-run).
+ * bit-identical to a freshly built one, and the enable switch below
+ * exists precisely so tests and benches can prove that (and so the
+ * throughput bench can measure the rebuild-per-trial cost in-run).
  */
 
 #ifndef LF_FRONTEND_PREPARED_HH
@@ -64,22 +63,19 @@ PreparedChainPtr prepareLcpAddLoop(Addr base, LcpPattern pattern, int r,
                                    int line_uops);
 /// @}
 
-/** @name Hot-path caching knobs (test/bench instrumentation)
+/** @name Hot-path caching switch (test/bench instrumentation)
  * Process-global; flip only while no runner is active. Results are
- * bit-identical in every combination — that invariant is what the
- * streaming tests assert and what makes the switches safe to expose.
+ * bit-identical either way — that invariant is what the streaming
+ * tests assert and what makes the switch safe to expose.
  */
 /// @{
-/** Share prepared chains across trials (default on). Off: prepare*()
- *  builds a fresh chain per call, the pre-PR-7 per-trial cost. */
+/** Share prepared chains across trials and chunk tables across
+ *  setProgram() rebinds of the same Program (default on). Off:
+ *  prepare*() builds a fresh chain per call and every setProgram()
+ *  re-decodes (see FrontendEngine::setProgram) — the rebuild-per-
+ *  trial reference cost. */
 void setProgramCacheEnabled(bool on);
 bool programCacheEnabled();
-
-/** Reuse chunk tables across setProgram() rebinds of the same Program
- *  within a trial (default on). Off: every setProgram() re-decodes,
- *  the pre-PR-7 per-rebind cost (see FrontendEngine::setProgram). */
-void setChunkTableReuseEnabled(bool on);
-bool chunkTableReuseEnabled();
 
 /** Entries currently in the process-wide prepared-chain cache. */
 std::size_t programCacheSize();
@@ -100,45 +96,26 @@ std::uint64_t preparedCacheThreadMisses();
 
 /** Drop every cached chain (outstanding shared_ptrs stay valid). */
 void clearProgramCache();
-
-/**
- * The cache entry that owns exactly this (program, table) pair, or
- * null when the pointers are not cache-owned (per-bind local decode,
- * channel-private program, cache since cleared). The warm-snapshot
- * layer (sim/snapshot.hh) uses the returned pin to keep an engine
- * image's interior pointers alive; a null forces it to bypass.
- * A linear scan under the cache lock — called once per snapshot
- * capture, never on the trial hot path.
- */
-PreparedChainPtr findPreparedChain(const Program *program,
-                                   const ChunkTable *table);
 /// @}
 
 /**
- * RAII guard: run a scope with both caching layers forced to @p on,
- * restoring the previous switches on exit. Used by the identity tests
- * and the legacy-baseline bench sections.
+ * RAII guard: run a scope with program caching forced to @p on,
+ * restoring the previous switch on exit. Used by the identity tests
+ * and the reference-baseline bench sections.
  */
 class ProgramCachingScope
 {
   public:
-    explicit ProgramCachingScope(bool on)
-        : cache_(programCacheEnabled()), reuse_(chunkTableReuseEnabled())
+    explicit ProgramCachingScope(bool on) : prev_(programCacheEnabled())
     {
         setProgramCacheEnabled(on);
-        setChunkTableReuseEnabled(on);
     }
-    ~ProgramCachingScope()
-    {
-        setProgramCacheEnabled(cache_);
-        setChunkTableReuseEnabled(reuse_);
-    }
+    ~ProgramCachingScope() { setProgramCacheEnabled(prev_); }
     ProgramCachingScope(const ProgramCachingScope &) = delete;
     ProgramCachingScope &operator=(const ProgramCachingScope &) = delete;
 
   private:
-    bool cache_;
-    bool reuse_;
+    bool prev_;
 };
 
 } // namespace lf

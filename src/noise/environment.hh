@@ -195,33 +195,6 @@ class Environment
      *  energy, thermal drift, meter noise. */
     double perturbPower(double microjoules);
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * The per-trial slot/drift evolution only — the spec is identity
-     * (part of the snapshot key) and the RNG belongs to the trial
-     * seed, never to a shared snapshot. */
-    /// @{
-    struct WarmState
-    {
-        std::uint64_t slots;
-        bool preempted;
-        double preemptCycles;
-        double driftUj;
-    };
-
-    WarmState saveWarmState() const
-    {
-        return {slots_, preempted_, preemptCycles_, driftUj_};
-    }
-
-    void loadWarmState(const WarmState &s)
-    {
-        slots_ = s.slots;
-        preempted_ = s.preempted;
-        preemptCycles_ = s.preemptCycles;
-        driftUj_ = s.driftUj;
-    }
-    /// @}
-
   private:
     EnvironmentSpec spec_;
     bool quiet_ = true;

@@ -89,13 +89,6 @@ counterCatalog()
          " process-wide cache", &CounterSet::preparedCacheHits},
         {"prepared_cache_misses", "prepared-chain builds done from"
          " scratch", &CounterSet::preparedCacheMisses},
-        {"snapshot_hits", "trials whose calibration was served by a"
-         " warm-state snapshot restore", &CounterSet::snapshotHits},
-        {"snapshot_misses", "first-of-cell trials that calibrated and"
-         " tried to publish a snapshot", &CounterSet::snapshotMisses},
-        {"snapshot_bypasses", "trials of known non-snapshottable cells"
-         " (stochastic calibration) that calibrated cold",
-         &CounterSet::snapshotBypasses},
     };
     return catalog;
 }

@@ -104,8 +104,8 @@ struct CounterSet
     std::uint64_t preparedCacheMisses = 0;
     /// @}
 
-    /** @name Warm-snapshot cache (filled by runExperiment;
-     *  sim/snapshot.hh) */
+    /** @name Always 0 and not in the catalog; kept only because
+     *  perfbench/ still reads them, until the next benchmark change. */
     /// @{
     std::uint64_t snapshotHits = 0;
     std::uint64_t snapshotMisses = 0;

@@ -48,34 +48,6 @@ class RaplCounter
 
     const RaplParams &params() const { return params_; }
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * Everything deterministic about the counter — the private Rng is
-     * deliberately excluded: it belongs to the trial seed, never to a
-     * shared snapshot. */
-    /// @{
-    struct SavedState
-    {
-        MicroJoules trueEnergy;
-        MicroJoules visibleEnergy;
-        Cycles lastAccumulateCycle;
-        Cycles lastRefreshCycle;
-    };
-
-    SavedState saveState() const
-    {
-        return {trueEnergy_, visibleEnergy_, lastAccumulateCycle_,
-                lastRefreshCycle_};
-    }
-
-    void loadState(const SavedState &s)
-    {
-        trueEnergy_ = s.trueEnergy;
-        visibleEnergy_ = s.visibleEnergy;
-        lastAccumulateCycle_ = s.lastAccumulateCycle;
-        lastRefreshCycle_ = s.lastRefreshCycle;
-    }
-    /// @}
-
   private:
     RaplParams params_;
     Cycles intervalCycles_;

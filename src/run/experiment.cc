@@ -1,13 +1,10 @@
 #include "run/experiment.hh"
 
-#include <cstdio>
-#include <sstream>
-
 #include "common/logging.hh"
 #include "frontend/prepared.hh"
 #include "obs/trace.hh"
+#include "run/sinks.hh"
 #include "sim/cpu_model.hh"
-#include "sim/snapshot.hh"
 
 namespace lf {
 
@@ -66,6 +63,13 @@ resolveConfig(const ExperimentSpec &spec, ChannelConfig &cfg,
             continue; // resolveEnvironment()'s job.
         if (isDefenseOverrideKey(key))
             continue; // resolveDefense()'s job.
+        // Addresses are cast straight to Addr, which is undefined for
+        // a negative double or one >= 2^64 (NaN fails the test too).
+        if ((key == "receiverBase" || key == "senderBase") &&
+            !(value >= 0.0 && value < 0x1p64)) {
+            return key + "=" + jsonNumber(value) +
+                " out of range [0, 2^64)";
+        }
         if (!applyChannelOverride(cfg, extras, key, value)) {
             return "unknown config override \"" + key +
                 "\" for channel " + spec.channel;
@@ -181,30 +185,6 @@ resolveDefense(const ExperimentSpec &spec, DefenseSpec &defense)
     return validateDefenseSpec(defense);
 }
 
-/**
- * The warm-snapshot cell key: exactly the spec fields that determine
- * the post-calibration machine state. Seed, trial index, message
- * bits/pattern and label are deliberately absent — the snapshot is
- * only ever captured when calibration proved itself seed-independent
- * (the RNG tripwire), and the message phase runs live per trial.
- * Mirrors the PreparedChain key discipline: resolved identity, not
- * incidental identity. Overrides carry the model/env/defense folds;
- * std::map iteration keeps the rendering canonical.
- */
-std::string
-warmSnapshotKey(const ExperimentSpec &spec)
-{
-    std::ostringstream key;
-    key << spec.channel << '|' << spec.cpu << "|pre="
-        << spec.preambleBits;
-    char buf[40];
-    for (const auto &[name, value] : spec.overrides) {
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        key << '|' << name << '=' << buf;
-    }
-    return key.str();
-}
-
 /** Resolve all four facets without binding anything. */
 std::string
 resolveFacets(const ExperimentSpec &spec, CpuModel &model,
@@ -291,12 +271,6 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
         counters_on ? preparedCacheThreadHits() : 0;
     const std::uint64_t prep_misses =
         counters_on ? preparedCacheThreadMisses() : 0;
-    const std::uint64_t snap_hits =
-        counters_on ? snapshotCacheThreadHits() : 0;
-    const std::uint64_t snap_misses =
-        counters_on ? snapshotCacheThreadMisses() : 0;
-    const std::uint64_t snap_bypasses =
-        counters_on ? snapshotCacheThreadBypasses() : 0;
 
     {
         obs::TraceScope span("resolve");
@@ -310,45 +284,10 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
     auto channel = makeChannel(spec.channel, ctx);
     obs::traceComplete("prepare", prepare_start);
 
-    // Warm-snapshot fast path (sim/snapshot.hh): the first trial of a
-    // sweep cell calibrates and — when the RNG tripwire proves its
-    // calibration seed-independent — publishes the post-calibration
-    // state; later trials of the cell restore it and run straight
-    // into the message phase. Stochastic cells get a negative entry
-    // and transparently calibrate cold every time. Either way the
-    // result is bit-identical to the plain transmit() composition.
-    WarmSnapshotPtr snap;
-    std::string cell_key;
-    SnapshotOutcome outcome = SnapshotOutcome::Disabled;
-    if (warmSnapshotsApplicable()) {
-        cell_key = warmSnapshotKey(spec);
-        outcome = lookupWarmSnapshot(cell_key, snap);
-    }
-
-    CovertChannel::Calibration calib;
-    if (outcome == SnapshotOutcome::Hit) {
-        const std::uint64_t restore_start =
-            obs::traceEnabled() ? obs::traceNowUs() : 0;
-        channel->prepareMachine(ctx);
-        restoreWarmSnapshot(ctx, *snap);
-        calib = snap->calibration;
-        obs::traceComplete("snapshot_restore", restore_start);
-    } else {
-        const std::uint64_t calibrate_start =
-            obs::traceEnabled() ? obs::traceNowUs() : 0;
-        calib = channel->calibrate(ctx);
-        obs::traceComplete("calibrate", calibrate_start);
-        if (outcome == SnapshotOutcome::Miss) {
-            if (!calib.rngUntouched) {
-                markWarmSnapshotBypass(cell_key);
-            } else if (WarmSnapshotPtr fresh =
-                           captureWarmSnapshot(ctx, calib)) {
-                publishWarmSnapshot(cell_key, std::move(fresh));
-            } else {
-                markWarmSnapshotBypass(cell_key);
-            }
-        }
-    }
+    const std::uint64_t calibrate_start =
+        obs::traceEnabled() ? obs::traceNowUs() : 0;
+    const CovertChannel::Calibration calib = channel->calibrate(ctx);
+    obs::traceComplete("calibrate", calibrate_start);
 
     const std::uint64_t transmit_start =
         obs::traceEnabled() ? obs::traceNowUs() : 0;
@@ -364,11 +303,6 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
             preparedCacheThreadHits() - prep_hits;
         set->preparedCacheMisses =
             preparedCacheThreadMisses() - prep_misses;
-        set->snapshotHits = snapshotCacheThreadHits() - snap_hits;
-        set->snapshotMisses =
-            snapshotCacheThreadMisses() - snap_misses;
-        set->snapshotBypasses =
-            snapshotCacheThreadBypasses() - snap_bypasses;
         out.counters = std::move(set);
     }
     return out;

@@ -33,38 +33,6 @@ Core::reset(const CpuModel &model, std::uint64_t seed)
     raplSyncCycle_ = 0;
 }
 
-Core::WarmState
-Core::saveWarmState() const
-{
-    WarmState s{engine_.saveState(),
-                backend_.saveState(),
-                rapl_.saveState(),
-                staticPartition_,
-                {},
-                raplSyncCycle_};
-    for (int tid = 0; tid < FrontendEngine::kNumThreads; ++tid)
-        s.raplSnapshot[tid] =
-            raplSnapshot_[static_cast<std::size_t>(tid)];
-    return s;
-}
-
-void
-Core::restoreWarmState(const WarmState &s)
-{
-    engine_.loadState(s.engine);
-    backend_.loadState(s.backend);
-    rapl_.loadState(s.rapl);
-    // Raw assignment, not setStaticPartition(): the restored Dsb
-    // image already carries the correct partitioned mapping, and a
-    // refreshPartitionState() here could flush restored LSD state
-    // through a spurious partition transition.
-    staticPartition_ = s.staticPartition;
-    for (int tid = 0; tid < FrontendEngine::kNumThreads; ++tid)
-        raplSnapshot_[static_cast<std::size_t>(tid)] =
-            s.raplSnapshot[tid];
-    raplSyncCycle_ = s.raplSyncCycle;
-}
-
 void
 Core::refreshPartitionState()
 {
@@ -178,9 +146,8 @@ Core::noisyMeasurement(double true_cycles)
 {
     // Exact-zero knobs must not touch the RNG: the returned value is
     // unchanged (a 0-sigma gaussian adds 0.0, a p=0 spike never
-    // fires), and a draw-free quiet path is what lets the warm-state
-    // snapshot cache treat zero-noise calibration as seed-independent
-    // (see sim/snapshot.hh).
+    // fires), and dropping these guards would shift every later draw
+    // of a quiet model's trial, changing its results.
     const double sigma = model_.noise.stddevCycles +
         model_.noise.jitterPerKcycle * true_cycles / 1000.0;
     double measured = true_cycles +

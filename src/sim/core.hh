@@ -146,39 +146,6 @@ class Core
     /** Counter snapshot for @p tid. */
     const PerfCounters &counters(ThreadId tid) const;
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * Everything deterministic about the core after a calibration
-     * preamble: the frontend/backend images, the RAPL counter's
-     * energy state, and the SMT partition pin. Deliberately excluded:
-     * model_ and seed_ (identity — the snapshot key covers the model,
-     * and seeds differ per trial by design), both Rngs (a snapshot is
-     * only valid when calibration drew nothing, so RNG state needs no
-     * restoring), and the domain-switch hook (it belongs to whichever
-     * Defense is armed on this core right now).
-     */
-    /// @{
-    struct WarmState
-    {
-        FrontendEngine::SavedState engine;
-        Backend::SavedState backend;
-        RaplCounter::SavedState rapl;
-        bool staticPartition;
-        PerfCounters raplSnapshot[FrontendEngine::kNumThreads];
-        Cycles raplSyncCycle;
-    };
-
-    WarmState saveWarmState() const;
-
-    /**
-     * Overwrite this core's mutable simulation state with @p s.
-     * Precondition: this core was reset with the same resolved model
-     * as the snapshot source (the snapshot key guarantees it), and
-     * any armed Defense has already run arm() — restore then replays
-     * the post-calibration state on top.
-     */
-    void restoreWarmState(const WarmState &s);
-    /// @}
-
   private:
     void syncRaplEnergy();
     void refreshPartitionState();

@@ -1,11 +1,12 @@
 /**
  * @file
  * Streaming-runner identity tests: the streamed callback API, the
- * batch API, reused vs fresh cores, and 1/4/8 worker threads must all
- * produce bit-identical results over a registry-wide spec grid; the
- * incremental SweepAccumulator must reproduce aggregateSweep()
- * exactly; and resolveTrial() must subsume the old per-facet
- * resolution (errors and skips become rows, never aborts).
+ * batch API, 1/4/8 worker threads and every fast path (program
+ * caching, core reuse, counters; checked against one reference mode)
+ * must all produce bit-identical results over a registry-wide spec
+ * grid; the incremental SweepAccumulator must reproduce
+ * aggregateSweep() exactly; and resolveTrial() must subsume the old
+ * per-facet resolution (errors and skips become rows, never aborts).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include "run/sinks.hh"
 #include "run/sweep.hh"
 #include "sim/cpu_model.hh"
-#include "sim/snapshot.hh"
 
 namespace lf {
 namespace {
@@ -127,16 +127,6 @@ TEST(StreamingRunner, CompletionOrderDeliversTheSameResultSet)
     EXPECT_EQ(jsonOf(sorted_completed), jsonOf(sorted_in_order));
 }
 
-TEST(StreamingRunner, FreshCoresMatchReusedCores)
-{
-    const auto &specs = registryGrid();
-    ExperimentRunner fresh(4);
-    fresh.setCoreReuse(false);
-    ASSERT_TRUE(ExperimentRunner().coreReuse());
-    EXPECT_EQ(jsonOf(fresh.run(specs)),
-              jsonOf(ExperimentRunner(4).run(specs)));
-}
-
 TEST(StreamingRunner, ReboundContextMatchesFreshContexts)
 {
     // The worker-side primitive, without the pool: one TrialContext
@@ -235,41 +225,11 @@ TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
     EXPECT_LT(maxLead.load(), window);
 }
 
-TEST(StreamingRunner, ProgramCacheOnAndOffAreBitIdentical)
-{
-    // The prepared-chain cache and the engine's per-trial chunk-table
-    // reuse are pure memoisation: the registry-wide grid must render
-    // the same bytes with both caching layers forced on and forced
-    // off, at every thread count. (Default runs have them on; the
-    // off-scope reproduces the rebuild-per-trial behavior.)
-    const auto &specs = registryGrid();
-    std::string cached_json;
-    {
-        ProgramCachingScope scope(true);
-        cached_json = jsonOf(ExperimentRunner(1).run(specs));
-    }
-    for (const int threads : {1, 4, 8}) {
-        {
-            ProgramCachingScope scope(true);
-            EXPECT_EQ(jsonOf(ExperimentRunner(threads).run(specs)),
-                      cached_json)
-                << "cache on, threads=" << threads;
-        }
-        {
-            ProgramCachingScope scope(false);
-            EXPECT_EQ(jsonOf(ExperimentRunner(threads).run(specs)),
-                      cached_json)
-                << "cache off, threads=" << threads;
-        }
-    }
-}
-
-/** Registry-wide quiet grid: every noise knob forced to zero so the
- *  RNG tripwire stays untripped and warm snapshots engage; several
- *  trials per cell so later trials actually restore instead of
- *  calibrating. */
+/** Registry-wide zero-noise grid: every noise knob forced to zero, so
+ *  cells whose calibration draws no randomness are covered alongside
+ *  the default (noisy) models; several trials per cell. */
 std::vector<ExperimentSpec>
-quietSnapshotGrid()
+quietGrid()
 {
     std::vector<ExperimentSpec> specs;
     for (const std::string &channel : allChannelNames()) {
@@ -295,88 +255,47 @@ quietSnapshotGrid()
     return specs;
 }
 
-TEST(StreamingRunner, SnapshotCacheOnAndOffAreBitIdentical)
+TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
 {
-    // The warm-snapshot cache must be pure memoisation: quiet cells
-    // (where snapshots engage) and noisy cells (where the tripwire
-    // forces a transparent bypass) must both render the same bytes
-    // with the cache forced on and forced off, at every thread count.
-    // registryGrid() runs with default (non-zero) model noise plus a
-    // handful of environment-noise cells — all of it must bypass.
-    const auto quiet = quietSnapshotGrid();
-    auto noisy = registryGrid();
-    for (std::size_t i = 0; i < noisy.size(); i += 7)
-        noisy[i].overrides["env.corunner_intensity"] = 0.5;
+    // Every fast path is pure memoisation or pure observation: the
+    // default configuration (program caching on, per-worker core
+    // reuse) at every thread count, with counters on or off, must
+    // render the same bytes as the reference mode — one thread,
+    // program caching off, counters off, a fresh core per trial.
+    // Inputs: zero-noise cells, default-noise cells, and a handful
+    // of environment-noise cells.
+    std::vector<ExperimentSpec> specs = quietGrid();
+    const auto &registry = registryGrid();
+    for (std::size_t i = 0; i < registry.size(); ++i) {
+        ExperimentSpec spec = registry[i];
+        if (i % 7 == 0)
+            spec.overrides["env.corunner_intensity"] = 0.5;
+        specs.push_back(std::move(spec));
+    }
 
-    std::string quiet_off;
-    std::string noisy_off;
+    std::string reference;
     {
-        SnapshotCacheScope scope(false);
-        quiet_off = jsonOf(ExperimentRunner(1).run(quiet));
-        noisy_off = jsonOf(ExperimentRunner(1).run(noisy));
+        const ProgramCachingScope caching(false);
+        const obs::CounterScope counters(false);
+        ExperimentRunner runner(1);
+        runner.setCoreReuse(false);
+        reference = jsonOf(runner.run(specs));
     }
 
+    ASSERT_TRUE(programCacheEnabled());
+    ASSERT_TRUE(ExperimentRunner().coreReuse());
     for (const int threads : {1, 4, 8}) {
-        SnapshotCacheScope scope(true);
-        clearWarmSnapshotCache();
-        const std::uint64_t hits = snapshotCacheHits();
-        const std::uint64_t bypasses = snapshotCacheBypasses();
-        EXPECT_EQ(jsonOf(ExperimentRunner(threads).run(quiet)),
-                  quiet_off)
-            << "snapshots on (quiet), threads=" << threads;
-        EXPECT_EQ(jsonOf(ExperimentRunner(threads).run(noisy)),
-                  noisy_off)
-            << "snapshots on (noisy), threads=" << threads;
-        if (threads == 1) {
-            // Single-threaded the traffic is deterministic: trials
-            // 2..3 of every quiet cell restore, and every noisy trial
-            // after its cell's first calibrates under a negative
-            // entry. (Racing workers can turn hits into extra misses,
-            // so only the 1-thread counts are exact.)
-            EXPECT_GT(snapshotCacheHits(), hits);
-            EXPECT_GT(snapshotCacheBypasses(), bypasses);
-        }
-    }
-
-    // Leave no cross-test coupling behind: later tests must not see
-    // snapshots captured under this test's grids.
-    clearWarmSnapshotCache();
-}
-
-TEST(StreamingRunner, CountersOnAndOffAreBitIdentical)
-{
-    // The obs::CounterSet hooks are purely observational: the
-    // registry-wide grid must render the same bytes with counter
-    // collection forced on and forced off, at every thread count —
-    // the per-trial snapshots land only in ExperimentResult::counters,
-    // which no standard sink serializes. This is the overhead
-    // contract's correctness half (the 2% throughput half gates in
-    // BENCH_runner_throughput.json).
-    const auto &specs = registryGrid();
-    std::string off_json;
-    {
-        obs::CounterScope scope(false);
-        off_json = jsonOf(ExperimentRunner(1).run(specs));
-    }
-    for (const int threads : {1, 4, 8}) {
-        {
-            obs::CounterScope scope(true);
+        for (const bool counters_on : {false, true}) {
+            const obs::CounterScope counters(counters_on);
             const auto results = ExperimentRunner(threads).run(specs);
-            EXPECT_EQ(jsonOf(results), off_json)
-                << "counters on, threads=" << threads;
-            // And the snapshots themselves are there for ok trials.
+            EXPECT_EQ(jsonOf(results), reference)
+                << "threads=" << threads << " counters=" << counters_on;
+            // Counter sets land only in ExperimentResult::counters,
+            // which no standard sink serializes: present iff ok.
             for (const ExperimentResult &res : results) {
-                EXPECT_EQ(res.counters != nullptr, res.ok)
+                EXPECT_EQ(res.counters != nullptr, counters_on && res.ok)
                     << res.spec.channel;
             }
-        }
-        {
-            obs::CounterScope scope(false);
-            const auto results = ExperimentRunner(threads).run(specs);
-            EXPECT_EQ(jsonOf(results), off_json)
-                << "counters off, threads=" << threads;
-            for (const ExperimentResult &res : results)
-                EXPECT_EQ(res.counters, nullptr);
         }
     }
 }
@@ -408,6 +327,21 @@ TEST(ResolveTrial, ErrorsSkipsAndSuccessesAreDistinguished)
     const std::string error = resolveTrial(bad, ctx, &skipped);
     EXPECT_NE(error.find("deadlock_kcycles"), std::string::npos);
     EXPECT_FALSE(skipped);
+
+    // Address overrides are range-checked before their cast to Addr.
+    for (const char *key : {"receiverBase", "senderBase"}) {
+        for (const double value : {-4096.0, 1e30, 0x1p64}) {
+            ExperimentSpec wild = good;
+            wild.overrides[key] = value;
+            const std::string wild_error =
+                resolveTrial(wild, ctx, &skipped);
+            EXPECT_EQ(wild_error.rfind(std::string(key) + "=", 0), 0u)
+                << wild_error;
+            EXPECT_NE(wild_error.find("out of range"), std::string::npos)
+                << wild_error;
+            EXPECT_FALSE(skipped);
+        }
+    }
 
     // The defense's model-level mitigations land in the context's
     // model copy (the resolution pipeline's documented order).
