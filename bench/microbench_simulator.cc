@@ -22,7 +22,7 @@
 #include <cstring>
 #include <thread>
 
-#include "core/nonmt_channels.hh"
+#include "core/channel_registry.hh"
 #include "frontend/prepared.hh"
 #include "isa/mix_block.hh"
 #include "obs/counters.hh"
@@ -411,11 +411,11 @@ BM_ChannelBit(benchmark::State &state)
     Core core(xeonE2288G(), 1);
     ChannelConfig cfg;
     cfg.d = 6;
-    NonMtEvictionChannel channel(core, cfg);
-    channel.setup();
+    const auto channel = makeChannel("nonmt-fast-eviction", core, cfg);
+    channel->setup();
     bool bit = false;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(channel.transmitBit(bit));
+        benchmark::DoNotOptimize(channel->transmitBit(bit));
         bit = !bit;
     }
     state.SetItemsProcessed(state.iterations());

@@ -10,9 +10,7 @@
 #include <cstdio>
 
 #include "common/message.hh"
-#include "core/mt_channels.hh"
-#include "core/nonmt_channels.hh"
-#include "core/power_channels.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
 #include "noise/environment.hh"
 #include "sim/cpu_model.hh"
@@ -47,46 +45,49 @@ main()
 
     {
         TrialContext ctx(xeonE2288G(), 1);
-        NonMtEvictionChannel ch(ctx.core(), evict);
-        report(ch.transmit(msg, ctx));
+        const auto ch = makeChannel("nonmt-fast-eviction", ctx.core(), evict);
+        report(ch->transmit(msg, ctx));
     }
     {
         TrialContext ctx(xeonE2288G(), 2);
-        NonMtEvictionChannel ch(ctx.core(), evict_stealthy);
-        report(ch.transmit(msg, ctx));
+        const auto ch = makeChannel("nonmt-stealthy-eviction", ctx.core(),
+                                    evict_stealthy);
+        report(ch->transmit(msg, ctx));
     }
     {
         TrialContext ctx(xeonE2288G(), 3);
-        NonMtMisalignmentChannel ch(ctx.core(), misalign);
-        report(ch.transmit(msg, ctx));
+        const auto ch = makeChannel("nonmt-fast-misalignment", ctx.core(),
+                                    misalign);
+        report(ch->transmit(msg, ctx));
     }
     {
         TrialContext ctx(gold6226(), 4);
         ChannelConfig slow;
         slow.r = 16;
         slow.rounds = 20;
-        SlowSwitchChannel ch(ctx.core(), slow);
-        report(ch.transmit(msg, ctx));
+        const auto ch = makeChannel("slow-switch", ctx.core(), slow);
+        report(ch->transmit(msg, ctx));
     }
     {
         TrialContext ctx(gold6226(), 5);
-        MtEvictionChannel ch(ctx.core(), evict);
-        report(ch.transmit(msg, ctx));
+        const auto ch = makeChannel("mt-eviction", ctx.core(), evict);
+        report(ch->transmit(msg, ctx));
     }
     {
         TrialContext ctx(gold6226(), 6);
-        MtMisalignmentChannel ch(ctx.core(), misalign);
-        report(ch.transmit(msg, ctx));
+        const auto ch = makeChannel("mt-misalignment", ctx.core(), misalign);
+        report(ch->transmit(msg, ctx));
     }
     {
         TrialContext ctx(gold6226(), 7);
-        PowerChannelConfig power_cfg;
-        power_cfg.rounds = 15000;
-        PowerEvictionChannel ch(ctx.core(), evict_stealthy, power_cfg);
+        ChannelExtras extras;
+        extras.power.rounds = 15000;
+        const auto ch = makeChannel("power-eviction", ctx.core(),
+                                    evict_stealthy, extras);
         Rng short_rng(8);
         const auto short_msg =
             makeMessage(MessagePattern::Alternating, 10, short_rng);
-        report(ch.transmit(short_msg, ctx, 6));
+        report(ch->transmit(short_msg, ctx, 6));
     }
     std::printf("\nNote the orderings: non-MT > MT >> power, and fast"
                 " > stealthy —\nthe shapes of Tables III-V of the"
@@ -104,15 +105,16 @@ main()
     constexpr int kNoisyPreamble = 32;
     {
         TrialContext ctx(gold6226(), 17, noisy);
-        NonMtEvictionChannel ch(ctx.core(), evict);
-        report(ch.transmit(msg, ctx, kNoisyPreamble));
+        const auto ch = makeChannel("nonmt-fast-eviction", ctx.core(), evict);
+        report(ch->transmit(msg, ctx, kNoisyPreamble));
     }
     {
         TrialContext ctx(gold6226(), 17, noisy);
         ChannelConfig evict_voting = evict;
         evict_voting.repetition = 3;
-        NonMtEvictionChannel ch(ctx.core(), evict_voting);
-        report(ch.transmit(msg, ctx, kNoisyPreamble));
+        const auto ch = makeChannel("nonmt-fast-eviction", ctx.core(),
+                                    evict_voting);
+        report(ch->transmit(msg, ctx, kNoisyPreamble));
     }
     return 0;
 }

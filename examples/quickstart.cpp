@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "common/message.hh"
-#include "core/nonmt_channels.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
 #include "isa/mix_block.hh"
 #include "sim/core.hh"
@@ -56,9 +56,9 @@ main()
     TrialContext ctx(xeonE2288G());
     ChannelConfig cfg;
     cfg.d = 6;
-    NonMtEvictionChannel channel(ctx.core(), cfg);
+    const auto channel = makeChannel("nonmt-fast-eviction", ctx.core(), cfg);
     const auto message = textToBits("HI!");
-    const ChannelResult result = channel.transmit(message, ctx);
+    const ChannelResult result = channel->transmit(message, ctx);
     std::printf("  received: \"%s\"\n",
                 bitsToText(result.received).c_str());
     std::printf("  rate: %.1f Kbps, error rate: %.2f%%\n",

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "common/message.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
-#include "sgx/sgx_channels.hh"
 #include "sim/cpu_model.hh"
 
 using namespace lf;
@@ -27,15 +27,16 @@ main()
     TrialContext ctx(xeonE2174G(), 7);
     ChannelConfig cfg;
     cfg.d = 6;
-    SgxConfig sgx;
-    sgx.rounds = 4000;
-    SgxNonMtEvictionChannel channel(ctx.core(), cfg, sgx);
+    ChannelExtras extras;
+    extras.sgx.rounds = 4000;
+    const auto channel =
+        makeChannel("sgx-nonmt-fast-eviction", ctx.core(), cfg, extras);
 
     std::printf("Receiver times one enclave entry/exit per bit "
                 "(entry cost ~%llu cycles, jittery)...\n\n",
                 static_cast<unsigned long long>(
                     ctx.model().sgx.entryCycles));
-    const ChannelResult res = channel.transmit(bits, ctx);
+    const ChannelResult res = channel->transmit(bits, ctx);
 
     std::printf("Recovered: \"%s\"\n", bitsToText(res.received).c_str());
     std::printf("Rate: %.2f Kbps (paper Table VI: ~19-35 Kbps), "
@@ -44,6 +45,6 @@ main()
     std::printf("\nThe enclave executed with a single entry and exit"
                 " per bit;\nthe signal is the frontend path difference"
                 " amplified over %d\ninterleaved encode/decode rounds"
-                " inside the enclave.\n", sgx.rounds);
+                " inside the enclave.\n", extras.sgx.rounds);
     return 0;
 }

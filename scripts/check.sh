@@ -15,16 +15,21 @@ cmake --build build-check -j "${JOBS}"
 echo "== ctest =="
 ctest --test-dir build-check --output-on-failure -j "${JOBS}"
 
-echo "== ASan/UBSan: registry + run-subsystem tests =="
+echo "== ASan/UBSan: channel, registry + run-subsystem tests =="
 cmake -B build-asan -S . -DLF_ASAN=ON
 cmake --build build-asan -j "${JOBS}" \
-    --target lf_core_test_channel_registry lf_run_test_runner \
+    --target lf_core_test_channel_registry lf_core_test_channels \
+             lf_sgx_test_sgx lf_run_test_channel_pinning \
+             lf_run_test_runner \
              lf_run_test_streaming lf_run_test_hooks \
              lf_obs_test_obs lf_run_test_sweep lf_run_test_cli \
              lf_noise_test_environment lf_defense_test_defense \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_run lf_campaign table_defenses campaign_overhead
 ./build-asan/lf_core_test_channel_registry
+./build-asan/lf_core_test_channels
+./build-asan/lf_sgx_test_sgx
+./build-asan/lf_run_test_channel_pinning
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
 ./build-asan/lf_run_test_hooks

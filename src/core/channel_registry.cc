@@ -4,66 +4,43 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "core/mt_channels.hh"
 #include "core/nonmt_channels.hh"
 #include "core/trial_context.hh"
+#include "sgx/sgx_channels.hh"
 
 namespace lf {
 
 namespace {
 
-/** Table III eviction setting: receiver holds d = 6 ways. */
-ChannelConfig
-evictionDefaults(bool stealthy)
+/** Paper-table setting of a DSB channel (Table III): eviction holds
+ *  d = 6 receiver ways; misalignment d = 5, M = 8 and a shorter MT
+ *  sender loop, which only the MT variants consult. */
+void
+setDsbDefaults(ChannelInfo &info, DsbPrimitive primitive, bool stealthy)
 {
-    ChannelConfig cfg;
-    cfg.d = 6;
-    cfg.stealthy = stealthy;
-    return cfg;
+    info.primitive = primitive;
+    info.defaultConfig = ChannelConfig{};
+    info.defaultConfig.stealthy = stealthy;
+    if (primitive == DsbPrimitive::Eviction) {
+        info.defaultConfig.d = 6;
+    } else {
+        info.defaultConfig.d = 5;
+        info.defaultConfig.M = 8;
+        info.defaultConfig.mtSenderIters = 2;
+    }
 }
 
-/** Table III misalignment setting: d = 5, M = 8 (and a shorter MT
- *  sender loop, which only the MT variant consults). */
-ChannelConfig
-misalignmentDefaults(bool stealthy)
-{
-    ChannelConfig cfg;
-    cfg.d = 5;
-    cfg.M = 8;
-    cfg.stealthy = stealthy;
-    cfg.mtSenderIters = 2;
-    return cfg;
-}
-
+/** Factory of DSB protocol class @p ChannelT bound to @p info's
+ *  primitive. */
 template <typename ChannelT>
 ChannelFactory
-plainFactory()
+dsbFactory(const ChannelInfo &info)
 {
-    return [](Core &core, const ChannelConfig &cfg,
-              const ChannelExtras &) -> std::unique_ptr<CovertChannel> {
-        return std::make_unique<ChannelT>(core, cfg);
-    };
-}
-
-template <typename ChannelT>
-ChannelFactory
-powerFactory()
-{
-    return [](Core &core, const ChannelConfig &cfg,
-              const ChannelExtras &extras)
+    const DsbPrimitive primitive = *info.primitive;
+    return [primitive](Core &core, const ChannelConfig &cfg,
+                       const ChannelExtras &extras)
                -> std::unique_ptr<CovertChannel> {
-        return std::make_unique<ChannelT>(core, cfg, extras.power);
-    };
-}
-
-template <typename ChannelT>
-ChannelFactory
-sgxFactory()
-{
-    return [](Core &core, const ChannelConfig &cfg,
-              const ChannelExtras &extras)
-               -> std::unique_ptr<CovertChannel> {
-        return std::make_unique<ChannelT>(core, cfg, extras.sgx);
+        return std::make_unique<ChannelT>(core, cfg, primitive, extras);
     };
 }
 
@@ -84,26 +61,26 @@ ChannelRegistry::ChannelRegistry()
         info.name = "nonmt-fast-eviction";
         info.description =
             "Non-MT fast eviction channel (Table III, Sec. V-C)";
-        info.defaultConfig = evictionDefaults(false);
-        registerChannel(info, plainFactory<NonMtEvictionChannel>());
+        setDsbDefaults(info, DsbPrimitive::Eviction, false);
+        registerChannel(info, dsbFactory<NonMtChannel>(info));
 
         info.name = "nonmt-stealthy-eviction";
         info.description =
             "Non-MT stealthy eviction channel (Table III, Sec. V-C)";
-        info.defaultConfig = evictionDefaults(true);
-        registerChannel(info, plainFactory<NonMtEvictionChannel>());
+        setDsbDefaults(info, DsbPrimitive::Eviction, true);
+        registerChannel(info, dsbFactory<NonMtChannel>(info));
 
         info.name = "nonmt-fast-misalignment";
         info.description =
             "Non-MT fast misalignment channel (Table III, Sec. V-D)";
-        info.defaultConfig = misalignmentDefaults(false);
-        registerChannel(info, plainFactory<NonMtMisalignmentChannel>());
+        setDsbDefaults(info, DsbPrimitive::Misalignment, false);
+        registerChannel(info, dsbFactory<NonMtChannel>(info));
 
         info.name = "nonmt-stealthy-misalignment";
         info.description =
             "Non-MT stealthy misalignment channel (Table III, Sec. V-D)";
-        info.defaultConfig = misalignmentDefaults(true);
-        registerChannel(info, plainFactory<NonMtMisalignmentChannel>());
+        setDsbDefaults(info, DsbPrimitive::Misalignment, true);
+        registerChannel(info, dsbFactory<NonMtChannel>(info));
     }
 
     // ---- Table III: MT (SMT) timing channels (Sec. V-A/B). ----
@@ -114,14 +91,14 @@ ChannelRegistry::ChannelRegistry()
         info.name = "mt-eviction";
         info.description =
             "MT (SMT) eviction channel (Table III, Sec. V-A)";
-        info.defaultConfig = evictionDefaults(false);
-        registerChannel(info, plainFactory<MtEvictionChannel>());
+        setDsbDefaults(info, DsbPrimitive::Eviction, false);
+        registerChannel(info, dsbFactory<MtChannel>(info));
 
         info.name = "mt-misalignment";
         info.description =
             "MT (SMT) misalignment channel (Table III, Sec. V-B)";
-        info.defaultConfig = misalignmentDefaults(false);
-        registerChannel(info, plainFactory<MtMisalignmentChannel>());
+        setDsbDefaults(info, DsbPrimitive::Misalignment, false);
+        registerChannel(info, dsbFactory<MtChannel>(info));
     }
 
     // ---- Table IV: slow-switch / LCP channel (Sec. V-E). ----
@@ -132,28 +109,31 @@ ChannelRegistry::ChannelRegistry()
             "Non-MT slow-switch (LCP) channel (Table IV, Sec. V-E)";
         info.defaultConfig.r = 16;
         info.defaultConfig.rounds = 20;
-        registerChannel(info, plainFactory<SlowSwitchChannel>());
+        registerChannel(info, [](Core &core, const ChannelConfig &cfg,
+                                 const ChannelExtras &)
+                                  -> std::unique_ptr<CovertChannel> {
+            return std::make_unique<SlowSwitchChannel>(core, cfg);
+        });
     }
 
     // ---- Table V: power channels via RAPL (Sec. VII). ----
     {
         ChannelInfo info;
-        info.powerObservable = true;
         info.defaultExtras.power.rounds = 20000;
 
         info.name = "power-eviction";
         info.description =
             "Non-MT power eviction channel via RAPL (Table V, Sec. VII)";
-        info.defaultConfig = evictionDefaults(true);
+        setDsbDefaults(info, DsbPrimitive::Eviction, true);
         info.defaultConfig.preambleBits = 8;
-        registerChannel(info, powerFactory<PowerEvictionChannel>());
+        registerChannel(info, dsbFactory<PowerChannel>(info));
 
         info.name = "power-misalignment";
         info.description = "Non-MT power misalignment channel via RAPL"
                            " (Table V, Sec. VII)";
-        info.defaultConfig = misalignmentDefaults(true);
+        setDsbDefaults(info, DsbPrimitive::Misalignment, true);
         info.defaultConfig.preambleBits = 8;
-        registerChannel(info, powerFactory<PowerMisalignmentChannel>());
+        registerChannel(info, dsbFactory<PowerChannel>(info));
     }
 
     // ---- Table VI: SGX enclave channels (Sec. VIII). ----
@@ -164,46 +144,46 @@ ChannelRegistry::ChannelRegistry()
         info.name = "sgx-nonmt-fast-eviction";
         info.description =
             "Non-MT fast eviction channel from SGX (Table VI)";
-        info.defaultConfig = evictionDefaults(false);
+        setDsbDefaults(info, DsbPrimitive::Eviction, false);
         info.defaultConfig.preambleBits = 10;
-        registerChannel(info, sgxFactory<SgxNonMtEvictionChannel>());
+        registerChannel(info, dsbFactory<SgxNonMtChannel>(info));
 
         info.name = "sgx-nonmt-stealthy-eviction";
         info.description =
             "Non-MT stealthy eviction channel from SGX (Table VI)";
-        info.defaultConfig = evictionDefaults(true);
+        setDsbDefaults(info, DsbPrimitive::Eviction, true);
         info.defaultConfig.preambleBits = 10;
-        registerChannel(info, sgxFactory<SgxNonMtEvictionChannel>());
+        registerChannel(info, dsbFactory<SgxNonMtChannel>(info));
 
         info.name = "sgx-nonmt-fast-misalignment";
         info.description =
             "Non-MT fast misalignment channel from SGX (Table VI)";
-        info.defaultConfig = misalignmentDefaults(false);
+        setDsbDefaults(info, DsbPrimitive::Misalignment, false);
         info.defaultConfig.preambleBits = 10;
-        registerChannel(info, sgxFactory<SgxNonMtMisalignmentChannel>());
+        registerChannel(info, dsbFactory<SgxNonMtChannel>(info));
 
         info.name = "sgx-nonmt-stealthy-misalignment";
         info.description =
             "Non-MT stealthy misalignment channel from SGX (Table VI)";
-        info.defaultConfig = misalignmentDefaults(true);
+        setDsbDefaults(info, DsbPrimitive::Misalignment, true);
         info.defaultConfig.preambleBits = 10;
-        registerChannel(info, sgxFactory<SgxNonMtMisalignmentChannel>());
+        registerChannel(info, dsbFactory<SgxNonMtChannel>(info));
 
         info.requiresSmt = true;
 
         info.name = "sgx-mt-eviction";
         info.description =
             "MT eviction channel from an SGX enclave (Table VI)";
-        info.defaultConfig = evictionDefaults(false);
+        setDsbDefaults(info, DsbPrimitive::Eviction, false);
         info.defaultConfig.preambleBits = 10;
-        registerChannel(info, sgxFactory<SgxMtEvictionChannel>());
+        registerChannel(info, dsbFactory<SgxMtChannel>(info));
 
         info.name = "sgx-mt-misalignment";
         info.description =
             "MT misalignment channel from an SGX enclave (Table VI)";
-        info.defaultConfig = misalignmentDefaults(false);
+        setDsbDefaults(info, DsbPrimitive::Misalignment, false);
         info.defaultConfig.preambleBits = 10;
-        registerChannel(info, sgxFactory<SgxMtMisalignmentChannel>());
+        registerChannel(info, dsbFactory<SgxMtChannel>(info));
     }
 }
 
@@ -308,14 +288,6 @@ std::unique_ptr<CovertChannel>
 makeChannel(const std::string &name, TrialContext &ctx)
 {
     return makeChannel(name, ctx.core(), ctx.config(), ctx.extras());
-}
-
-std::unique_ptr<CovertChannel>
-makeChannelWithDefaults(const std::string &name, Core &core)
-{
-    const ChannelInfo &info = channelInfo(name);
-    return makeChannel(name, core, info.defaultConfig,
-                       info.defaultExtras);
 }
 
 bool

@@ -2,9 +2,10 @@
  * @file
  * String-keyed registry of every covert channel in the library.
  *
- * Each concrete CovertChannel subclass is registered under a canonical
- * kebab-case name (e.g. "nonmt-fast-eviction") together with the
- * ChannelConfig the paper's tables use for it, the applicability
+ * Each channel (a DsbChannel protocol class bound to its encoding
+ * primitive, or the slow-switch channel) is registered under a
+ * canonical kebab-case name (e.g. "nonmt-fast-eviction") together with
+ * the ChannelConfig the paper's tables use for it, the applicability
  * constraints (SMT / SGX), and a factory. The registry is the single
  * runtime entry point for naming a channel: the ExperimentRunner, the
  * lf_run CLI, and the bench binaries all construct channels through
@@ -24,22 +25,13 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/channel.hh"
-#include "core/power_channels.hh"
-#include "sgx/sgx_channels.hh"
+#include "core/dsb_channel.hh"
 
 namespace lf {
-
-/** Family-specific knobs that sit outside ChannelConfig. Entries carry
- *  per-channel defaults; callers only override what they sweep. */
-struct ChannelExtras
-{
-    PowerChannelConfig power;  //!< power-* channels only.
-    SgxConfig sgx;             //!< sgx-* channels only.
-};
 
 /** Registry metadata for one canonical channel name. */
 struct ChannelInfo
@@ -48,7 +40,8 @@ struct ChannelInfo
     std::string description;  //!< One-line paper mapping.
     bool requiresSmt = false; //!< MT channels: needs an SMT model.
     bool requiresSgx = false; //!< SGX channels: needs SGX support.
-    bool powerObservable = false; //!< Observable is watts, not cycles.
+    /** DSB channels: the encoding primitive the factory binds. */
+    std::optional<DsbPrimitive> primitive;
     ChannelConfig defaultConfig;  //!< Paper-table setting.
     ChannelExtras defaultExtras;  //!< Paper-table power/SGX setting.
 };
@@ -110,10 +103,6 @@ std::unique_ptr<CovertChannel> makeChannel(const std::string &name,
                                            Core &core,
                                            const ChannelConfig &cfg,
                                            const ChannelExtras &extras);
-
-/** Construct with the channel's own default config and extras. */
-std::unique_ptr<CovertChannel> makeChannelWithDefaults(
-    const std::string &name, Core &core);
 
 class TrialContext;
 

@@ -1,6 +1,5 @@
 #include "core/nonmt_channels.hh"
 
-#include "common/logging.hh"
 #include "sim/executor.hh"
 
 namespace lf {
@@ -9,147 +8,7 @@ namespace {
 
 constexpr ThreadId kThread = 0;
 
-std::vector<BlockSpec>
-waySpan(int first_way, int count, bool misaligned)
-{
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        specs.push_back({first_way + i, misaligned});
-    return specs;
-}
-
 } // namespace
-
-NonMtEvictionChannel::NonMtEvictionChannel(Core &core,
-                                           const ChannelConfig &config)
-    : CovertChannel(core, config)
-{
-}
-
-std::string
-NonMtEvictionChannel::name() const
-{
-    return std::string("non-MT ") + (cfg_.stealthy ? "stealthy" : "fast") +
-        " eviction";
-}
-
-void
-NonMtEvictionChannel::setup()
-{
-    // Receiver: ways 0..d-1 of the target set; sender: ways d..N of
-    // the same set (N+1-d blocks -> one more than the set holds).
-    receiver_ = prepareMixBlockChain(cfg_.receiverBase, cfg_.targetSet,
-                                     waySpan(0, cfg_.d, false),
-                                     dsbLineUops());
-    encodeOne_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                      waySpan(cfg_.d, cfg_.N + 1 - cfg_.d,
-                                              false),
-                                      dsbLineUops());
-    if (cfg_.stealthy) {
-        encodeZero_ = prepareMixBlockChain(cfg_.senderBase, cfg_.altSet,
-                                           waySpan(cfg_.d,
-                                                   cfg_.N + 1 - cfg_.d,
-                                                   false),
-                                           dsbLineUops());
-    }
-}
-
-double
-NonMtEvictionChannel::transmitBit(bool bit)
-{
-    const Cycles start = core_.cycle();
-    chargeMeasurementOverhead(); // timer start
-
-    // Init: receiver loop, p iterations.
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    // Interleaved Encode/Decode rounds (Sec. VI-A: the encode/decode
-    // pattern repeats p = q times per bit).
-    const Cycles sync = core_.model().noise.syncCycles;
-    for (int round = 0; round < cfg_.rounds; ++round) {
-        core_.runCycles(sync); // sender phase handoff
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.runCycles(sync); // receiver phase handoff
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
-
-    chargeMeasurementOverhead(); // timer stop
-    const double elapsed = static_cast<double>(core_.cycle() - start);
-    return core_.noisyMeasurement(elapsed);
-}
-
-NonMtMisalignmentChannel::NonMtMisalignmentChannel(
-        Core &core, const ChannelConfig &config)
-    : CovertChannel(core, config)
-{
-}
-
-std::string
-NonMtMisalignmentChannel::name() const
-{
-    return std::string("non-MT ") + (cfg_.stealthy ? "stealthy" : "fast") +
-        " misalignment";
-}
-
-void
-NonMtMisalignmentChannel::setup()
-{
-    lf_assert(cfg_.M > cfg_.d, "misalignment channel needs M > d");
-    receiver_ = prepareMixBlockChain(cfg_.receiverBase, cfg_.targetSet,
-                                     waySpan(0, cfg_.d, false),
-                                     dsbLineUops());
-    encodeOne_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                      waySpan(cfg_.d, cfg_.M - cfg_.d,
-                                              true),
-                                      dsbLineUops());
-    if (cfg_.stealthy) {
-        encodeZero_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                           waySpan(cfg_.d,
-                                                   cfg_.M - cfg_.d,
-                                                   false),
-                                           dsbLineUops());
-    }
-}
-
-double
-NonMtMisalignmentChannel::transmitBit(bool bit)
-{
-    const Cycles start = core_.cycle();
-    chargeMeasurementOverhead();
-
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    const Cycles sync = core_.model().noise.syncCycles;
-    for (int round = 0; round < cfg_.rounds; ++round) {
-        core_.runCycles(sync); // sender phase handoff
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.runCycles(sync); // receiver phase handoff
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
-
-    chargeMeasurementOverhead();
-    const double elapsed = static_cast<double>(core_.cycle() - start);
-    return core_.noisyMeasurement(elapsed);
-}
 
 SlowSwitchChannel::SlowSwitchChannel(Core &core,
                                      const ChannelConfig &config)

@@ -1,12 +1,11 @@
 /**
  * @file
- * Single-thread (non-MT) covert channels: Sec. V-C (eviction-based),
- * Sec. V-D (misalignment-based) and Sec. V-E (slow-switch / LCP).
+ * Slow-switch covert channel (Sec. V-E). The non-MT DSB channels of
+ * Sec. V-C/D live in core/dsb_channel.hh.
  *
  * Sender and receiver are the same hardware thread; the receiver wraps
- * a timer around the whole Init + (Encode/Decode)^rounds sequence and
- * the secret modulates how much frontend path switching the sequence
- * provokes (internal interference).
+ * a timer around the encode loop and the secret modulates how much
+ * frontend path switching the loop provokes (internal interference).
  */
 
 #ifndef LF_CORE_NONMT_CHANNELS_HH
@@ -16,54 +15,6 @@
 #include "frontend/prepared.hh"
 
 namespace lf {
-
-/**
- * Non-MT eviction channel (Sec. V-C).
- *
- * Receiver: d blocks (ways 0..d-1) of the target set.
- * Encode 1: the remaining N+1-d blocks of the *same* set — a 9th way
- *           demand that evicts receiver lines and redirects delivery
- *           to MITE.
- * Encode 0: stealthy — same-length blocks of a different set; fast —
- *           nothing.
- */
-class NonMtEvictionChannel : public CovertChannel
-{
-  public:
-    NonMtEvictionChannel(Core &core, const ChannelConfig &config);
-
-    std::string name() const override;
-    void setup() override;
-    double transmitBit(bool bit) override;
-
-  private:
-    PreparedChainPtr receiver_;
-    PreparedChainPtr encodeOne_;
-    PreparedChainPtr encodeZero_; //!< Stealthy variant only.
-};
-
-/**
- * Non-MT misalignment channel (Sec. V-D).
- *
- * Receiver: d aligned blocks of the target set.
- * Encode 1: M-d *misaligned* blocks of the same set: each splits into
- *           two DSB lines and poisons LSD capture on the set.
- * Encode 0: stealthy — the same blocks aligned; fast — nothing.
- */
-class NonMtMisalignmentChannel : public CovertChannel
-{
-  public:
-    NonMtMisalignmentChannel(Core &core, const ChannelConfig &config);
-
-    std::string name() const override;
-    void setup() override;
-    double transmitBit(bool bit) override;
-
-  private:
-    PreparedChainPtr receiver_;
-    PreparedChainPtr encodeOne_;
-    PreparedChainPtr encodeZero_; //!< Stealthy variant only.
-};
 
 /**
  * Slow-switch channel (Sec. V-E).

@@ -111,8 +111,7 @@ resolveConfig(const ExperimentSpec &spec, ChannelConfig &cfg,
         return "MT channels need a partition-mapped targetSet >= 16,"
                " got " + std::to_string(cfg.targetSet);
     }
-    if (info.name.find("misalignment") != std::string::npos &&
-        cfg.M <= cfg.d) {
+    if (info.primitive == DsbPrimitive::Misalignment && cfg.M <= cfg.d) {
         return "misalignment channels need M > d (got M=" +
             std::to_string(cfg.M) + ", d=" + std::to_string(cfg.d) +
             ")";

@@ -1,21 +1,10 @@
 #include "sgx/sgx_channels.hh"
 
 #include "common/logging.hh"
-#include "sim/executor.hh"
 
 namespace lf {
 
 namespace {
-
-std::vector<BlockSpec>
-waySpan(int first_way, int count, bool misaligned)
-{
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        specs.push_back({first_way + i, misaligned});
-    return specs;
-}
 
 void
 requireSgx(const Core &core)
@@ -27,217 +16,63 @@ requireSgx(const Core &core)
 
 } // namespace
 
-SgxNonMtChannelBase::SgxNonMtChannelBase(Core &core,
-                                         const ChannelConfig &config,
-                                         const SgxConfig &sgx_config)
-    : CovertChannel(core, config), sgxCfg_(sgx_config)
+SgxNonMtChannel::SgxNonMtChannel(Core &core, const ChannelConfig &config,
+                                 DsbPrimitive primitive,
+                                 const ChannelExtras &extras)
+    : DsbChannel(core, config, primitive, false), sgxCfg_(extras.sgx)
 {
     requireSgx(core);
 }
 
+std::string
+SgxNonMtChannel::name() const
+{
+    return std::string("SGX non-MT ") +
+        (cfg_.stealthy ? "stealthy " : "fast ") + primitiveName();
+}
+
 double
-SgxNonMtChannelBase::transmitBit(bool bit)
+SgxNonMtChannel::transmitBit(bool bit)
 {
     const Cycles start = core_.cycle();
     chargeMeasurementOverhead();           // receiver starts the timer
-    core_.enclaveTransition(kThread);      // single enclave entry
-
-    // Inside the enclave: init once, then many interleaved
-    // encode/decode rounds. No per-round sync is needed — sender and
+    core_.enclaveTransition(kReceiver);    // single enclave entry
+    // Inside the enclave no per-round sync is needed: sender and
     // "receiver pattern" are phases of the same enclave code.
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-    for (int round = 0; round < sgxCfg_.rounds; ++round) {
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
-    core_.clearProgram(kThread);
-
-    core_.enclaveTransition(kThread);      // single enclave exit
+    runRounds(bit, sgxCfg_.rounds, 0);
+    core_.clearProgram(kReceiver);
+    core_.enclaveTransition(kReceiver);    // single enclave exit
     chargeMeasurementOverhead();           // receiver stops the timer
     const double elapsed = static_cast<double>(core_.cycle() - start);
     return core_.noisyMeasurement(elapsed);
 }
 
-SgxNonMtEvictionChannel::SgxNonMtEvictionChannel(
-        Core &core, const ChannelConfig &config,
-        const SgxConfig &sgx_config)
-    : SgxNonMtChannelBase(core, config, sgx_config)
-{
-}
-
-std::string
-SgxNonMtEvictionChannel::name() const
-{
-    return std::string("SGX non-MT ") +
-        (cfg_.stealthy ? "stealthy" : "fast") + " eviction";
-}
-
-void
-SgxNonMtEvictionChannel::setup()
-{
-    receiver_ = prepareMixBlockChain(cfg_.receiverBase, cfg_.targetSet,
-                                     waySpan(0, cfg_.d, false),
-                                     dsbLineUops());
-    encodeOne_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                      waySpan(cfg_.d,
-                                              cfg_.N + 1 - cfg_.d,
-                                              false),
-                                      dsbLineUops());
-    if (cfg_.stealthy) {
-        encodeZero_ = prepareMixBlockChain(cfg_.senderBase,
-                                           cfg_.altSet,
-                                           waySpan(cfg_.d,
-                                                   cfg_.N + 1 - cfg_.d,
-                                                   false),
-                                           dsbLineUops());
-    }
-}
-
-SgxNonMtMisalignmentChannel::SgxNonMtMisalignmentChannel(
-        Core &core, const ChannelConfig &config,
-        const SgxConfig &sgx_config)
-    : SgxNonMtChannelBase(core, config, sgx_config)
-{
-}
-
-std::string
-SgxNonMtMisalignmentChannel::name() const
-{
-    return std::string("SGX non-MT ") +
-        (cfg_.stealthy ? "stealthy" : "fast") + " misalignment";
-}
-
-void
-SgxNonMtMisalignmentChannel::setup()
-{
-    lf_assert(cfg_.M > cfg_.d, "misalignment channel needs M > d");
-    receiver_ = prepareMixBlockChain(cfg_.receiverBase, cfg_.targetSet,
-                                     waySpan(0, cfg_.d, false),
-                                     dsbLineUops());
-    encodeOne_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                      waySpan(cfg_.d, cfg_.M - cfg_.d,
-                                              true),
-                                      dsbLineUops());
-    if (cfg_.stealthy) {
-        encodeZero_ = prepareMixBlockChain(cfg_.senderBase,
-                                           cfg_.targetSet,
-                                           waySpan(cfg_.d,
-                                                   cfg_.M - cfg_.d,
-                                                   false),
-                                           dsbLineUops());
-    }
-}
-
-SgxMtChannelBase::SgxMtChannelBase(Core &core,
-                                   const ChannelConfig &config,
-                                   const SgxConfig &sgx_config)
-    : CovertChannel(core, config), sgxCfg_(sgx_config)
+SgxMtChannel::SgxMtChannel(Core &core, const ChannelConfig &config,
+                           DsbPrimitive primitive,
+                           const ChannelExtras &extras)
+    : DsbChannel(core, config, primitive, true), sgxCfg_(extras.sgx)
 {
     requireSgx(core);
-    lf_assert(core.model().smtEnabled,
-              "MT SGX channel needs SMT (disabled on %s)",
-              core.model().name.c_str());
+}
+
+std::string
+SgxMtChannel::name() const
+{
+    return std::string("SGX MT ") + primitiveName();
 }
 
 double
-SgxMtChannelBase::transmitBit(bool bit)
+SgxMtChannel::transmitBit(bool bit)
 {
     // The enclave (sender) is entered once per bit on the sibling
     // hardware thread.
     if (bit)
         core_.enclaveTransition(kSender);
-
-    core_.setProgram(kReceiver, *receiver_);
-    runLoopIters(core_, kReceiver, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    double sum = 0.0;
-    int samples = 0;
-    for (int step = 0; step < sgxCfg_.mtSteps; ++step) {
-        if (bit) {
-            core_.setProgram(kSender, *encodeOne_);
-            core_.runUntilRetired(
-                kSender,
-                static_cast<std::uint64_t>(cfg_.mtSenderIters) *
-                    encodeOne_->chain.instsPerIteration);
-        }
-        for (int k = 0; k < sgxCfg_.mtMeasPerStep; ++k) {
-            chargeMeasurementOverhead();
-            sum += timedLoopIters(core_, kReceiver, *receiver_, 1);
-            ++samples;
-        }
-        if (bit)
-            core_.clearProgram(kSender);
-    }
-    core_.clearProgram(kReceiver);
+    const double mean =
+        runMtSteps(bit, sgxCfg_.mtSteps, sgxCfg_.mtMeasPerStep);
     if (bit)
         core_.enclaveTransition(kSender);
-    return sum / samples;
-}
-
-SgxMtEvictionChannel::SgxMtEvictionChannel(Core &core,
-                                           const ChannelConfig &config,
-                                           const SgxConfig &sgx_config)
-    : SgxMtChannelBase(core, config, sgx_config)
-{
-}
-
-std::string
-SgxMtEvictionChannel::name() const
-{
-    return "SGX MT eviction";
-}
-
-void
-SgxMtEvictionChannel::setup()
-{
-    lf_assert(cfg_.targetSet >= 16,
-              "MT channels need a target set >= 16");
-    receiver_ = prepareMixBlockChain(cfg_.receiverBase, cfg_.targetSet,
-                                     waySpan(0, cfg_.d, false),
-                                     dsbLineUops());
-    encodeOne_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                      waySpan(cfg_.d,
-                                              cfg_.N + 1 - cfg_.d,
-                                              false),
-                                      dsbLineUops());
-}
-
-SgxMtMisalignmentChannel::SgxMtMisalignmentChannel(
-        Core &core, const ChannelConfig &config,
-        const SgxConfig &sgx_config)
-    : SgxMtChannelBase(core, config, sgx_config)
-{
-}
-
-std::string
-SgxMtMisalignmentChannel::name() const
-{
-    return "SGX MT misalignment";
-}
-
-void
-SgxMtMisalignmentChannel::setup()
-{
-    lf_assert(cfg_.targetSet >= 16,
-              "MT channels need a target set >= 16");
-    lf_assert(cfg_.M > cfg_.d, "misalignment channel needs M > d");
-    receiver_ = prepareMixBlockChain(cfg_.receiverBase, cfg_.targetSet,
-                                     waySpan(0, cfg_.d, false),
-                                     dsbLineUops());
-    encodeOne_ = prepareMixBlockChain(cfg_.senderBase, cfg_.targetSet,
-                                      waySpan(cfg_.d, cfg_.M - cfg_.d,
-                                              true),
-                                      dsbLineUops());
+    return mean;
 }
 
 } // namespace lf

@@ -21,100 +21,35 @@
 #ifndef LF_SGX_SGX_CHANNELS_HH
 #define LF_SGX_SGX_CHANNELS_HH
 
-#include "core/channel.hh"
-#include "core/mt_channels.hh"
-#include "frontend/prepared.hh"
+#include "core/dsb_channel.hh"
 
 namespace lf {
 
-/** Extra parameters for the SGX variants. */
-struct SgxConfig
-{
-    /** Interleaved encode/decode rounds inside the enclave per bit
-     *  (paper: p = q = 1,000 - 5,000). */
-    int rounds = 6000;
-    /** MT variant: encode steps per bit (paper: q = 10,000 total
-     *  encode iterations). */
-    int mtSteps = 100;
-    /** MT variant: receiver measurements per encode step. */
-    int mtMeasPerStep = 20;
-};
-
-/** Common machinery for the two non-MT SGX channels. */
-class SgxNonMtChannelBase : public CovertChannel
+/** Non-MT SGX channel (Table VI). */
+class SgxNonMtChannel : public DsbChannel
 {
   public:
-    SgxNonMtChannelBase(Core &core, const ChannelConfig &config,
-                        const SgxConfig &sgx_config);
-
+    SgxNonMtChannel(Core &core, const ChannelConfig &config,
+                    DsbPrimitive primitive, const ChannelExtras &extras);
+    std::string name() const override;
     double transmitBit(bool bit) override;
 
-  protected:
-    static constexpr ThreadId kThread = 0;
-
+  private:
     SgxConfig sgxCfg_;
-    PreparedChainPtr receiver_;
-    PreparedChainPtr encodeOne_;
-    PreparedChainPtr encodeZero_; //!< Stealthy variant only.
 };
 
-/** Non-MT SGX eviction channel (Table VI). */
-class SgxNonMtEvictionChannel : public SgxNonMtChannelBase
+/** MT SGX channel (Table VI): the enclave-resident sender perturbs
+ *  the shared frontend; entry happens once per bit. */
+class SgxMtChannel : public DsbChannel
 {
   public:
-    SgxNonMtEvictionChannel(Core &core, const ChannelConfig &config,
-                            const SgxConfig &sgx_config);
+    SgxMtChannel(Core &core, const ChannelConfig &config,
+                 DsbPrimitive primitive, const ChannelExtras &extras);
     std::string name() const override;
-    void setup() override;
-};
-
-/** Non-MT SGX misalignment channel (Table VI). */
-class SgxNonMtMisalignmentChannel : public SgxNonMtChannelBase
-{
-  public:
-    SgxNonMtMisalignmentChannel(Core &core, const ChannelConfig &config,
-                                const SgxConfig &sgx_config);
-    std::string name() const override;
-    void setup() override;
-};
-
-/** MT SGX channels: the enclave-resident sender perturbs the shared
- *  frontend; entry happens once per bit. */
-class SgxMtChannelBase : public CovertChannel
-{
-  public:
-    SgxMtChannelBase(Core &core, const ChannelConfig &config,
-                     const SgxConfig &sgx_config);
-
     double transmitBit(bool bit) override;
 
-  protected:
-    static constexpr ThreadId kReceiver = 0;
-    static constexpr ThreadId kSender = 1;
-
+  private:
     SgxConfig sgxCfg_;
-    PreparedChainPtr receiver_;
-    PreparedChainPtr encodeOne_;
-};
-
-/** MT SGX eviction channel (Table VI). */
-class SgxMtEvictionChannel : public SgxMtChannelBase
-{
-  public:
-    SgxMtEvictionChannel(Core &core, const ChannelConfig &config,
-                         const SgxConfig &sgx_config);
-    std::string name() const override;
-    void setup() override;
-};
-
-/** MT SGX misalignment channel (Table VI). */
-class SgxMtMisalignmentChannel : public SgxMtChannelBase
-{
-  public:
-    SgxMtMisalignmentChannel(Core &core, const ChannelConfig &config,
-                             const SgxConfig &sgx_config);
-    std::string name() const override;
-    void setup() override;
 };
 
 } // namespace lf

@@ -19,8 +19,7 @@
 #include <set>
 
 #include "common/message.hh"
-#include "core/mt_channels.hh"
-#include "core/nonmt_channels.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
 #include "run/sweep.hh"
 #include "sim/cpu_model.hh"
@@ -51,8 +50,8 @@ TEST_P(EvictionDSweep, SignalPositiveAndDecodableAtEveryD)
     TrialContext ctx(xeonE2288G(), 9); // quiet machine: clean means
     ChannelConfig cfg;
     cfg.d = d;
-    NonMtEvictionChannel channel(ctx.core(), cfg);
-    const auto res = channel.transmit(altMessage(40), ctx);
+    const auto channel = makeChannel("nonmt-fast-eviction", ctx.core(), cfg);
+    const auto res = channel->transmit(altMessage(40), ctx);
     EXPECT_GT(res.meanObs1 - res.meanObs0, 0.0);
     EXPECT_LT(res.errorRate, 0.1);
 }
@@ -71,8 +70,8 @@ TEST_P(RoundsSweep, MoreRoundsNeverBreaksTheChannel)
     ChannelConfig cfg;
     cfg.d = 6;
     cfg.rounds = GetParam();
-    NonMtEvictionChannel channel(ctx.core(), cfg);
-    const auto res = channel.transmit(altMessage(40), ctx);
+    const auto channel = makeChannel("nonmt-fast-eviction", ctx.core(), cfg);
+    const auto res = channel->transmit(altMessage(40), ctx);
     EXPECT_LT(res.errorRate, 0.15) << "rounds=" << GetParam();
 }
 
@@ -88,8 +87,9 @@ TEST(ChannelProperties, RateScalesWithRounds)
         ChannelConfig cfg;
         cfg.d = 6;
         cfg.rounds = rounds;
-        NonMtEvictionChannel channel(ctx.core(), cfg);
-        return channel.transmit(altMessage(40), ctx).transmissionKbps;
+        const auto channel = makeChannel("nonmt-fast-eviction",
+                                         ctx.core(), cfg);
+        return channel->transmit(altMessage(40), ctx).transmissionKbps;
     };
     const double r10 = rate_at(10);
     const double r40 = rate_at(40);
@@ -108,8 +108,9 @@ TEST(ChannelProperties, FasterClockFasterChannel)
         TrialContext ctx(model, 22);
         ChannelConfig cfg;
         cfg.d = 6;
-        NonMtEvictionChannel channel(ctx.core(), cfg);
-        return channel.transmit(altMessage(40), ctx).transmissionKbps;
+        const auto channel = makeChannel("nonmt-fast-eviction",
+                                         ctx.core(), cfg);
+        return channel->transmit(altMessage(40), ctx).transmissionKbps;
     };
     EXPECT_NEAR(rate_on(fast) / rate_on(slow), 2.0, 0.2);
 }
@@ -119,9 +120,9 @@ TEST(ChannelProperties, TextRoundTripsThroughTheChannel)
     TrialContext ctx(xeonE2288G(), 23);
     ChannelConfig cfg;
     cfg.d = 6;
-    NonMtEvictionChannel channel(ctx.core(), cfg);
+    const auto channel = makeChannel("nonmt-fast-eviction", ctx.core(), cfg);
     const std::string text = "frontend";
-    const auto res = channel.transmit(textToBits(text), ctx);
+    const auto res = channel->transmit(textToBits(text), ctx);
     EXPECT_EQ(bitsToText(res.received), text);
 }
 
@@ -134,10 +135,10 @@ TEST_P(PatternSweep, NonMtEvictionHandlesEveryPattern)
     TrialContext ctx(xeonE2288G(), 24);
     ChannelConfig cfg;
     cfg.d = 6;
-    NonMtEvictionChannel channel(ctx.core(), cfg);
+    const auto channel = makeChannel("nonmt-fast-eviction", ctx.core(), cfg);
     Rng rng(25);
     const auto msg = makeMessage(GetParam(), 60, rng);
-    const auto res = channel.transmit(msg, ctx);
+    const auto res = channel->transmit(msg, ctx);
     EXPECT_LT(res.errorRate, 0.1) << toString(GetParam());
 }
 
@@ -163,8 +164,8 @@ TEST_P(TargetSetSweep, ChannelWorksOnAnySet)
     cfg.d = 6;
     cfg.targetSet = GetParam();
     cfg.altSet = (GetParam() + 11) % 32;
-    NonMtEvictionChannel channel(ctx.core(), cfg);
-    const auto res = channel.transmit(altMessage(40), ctx);
+    const auto channel = makeChannel("nonmt-fast-eviction", ctx.core(), cfg);
+    const auto res = channel->transmit(altMessage(40), ctx);
     EXPECT_LT(res.errorRate, 0.1) << "set=" << GetParam();
 }
 
@@ -178,8 +179,8 @@ TEST(ChannelProperties, MtStepsScaleBitTime)
         ChannelConfig cfg;
         cfg.d = 6;
         cfg.mtSteps = steps;
-        MtEvictionChannel channel(ctx.core(), cfg);
-        return channel.transmit(altMessage(20), ctx).transmissionKbps;
+        const auto channel = makeChannel("mt-eviction", ctx.core(), cfg);
+        return channel->transmit(altMessage(20), ctx).transmissionKbps;
     };
     EXPECT_GT(rate_at(10), 1.5 * rate_at(40));
 }

@@ -55,6 +55,7 @@ TEST(ChannelRegistry, UnknownNameIsFatal)
 
 TEST(ChannelRegistry, InfoIsSelfConsistent)
 {
+    Core core(xeonE2286G(), 1); // SMT and SGX: every channel applies
     for (const std::string &name : kDocumentedNames) {
         const ChannelInfo &info = channelInfo(name);
         EXPECT_EQ(info.name, name);
@@ -65,7 +66,21 @@ TEST(ChannelRegistry, InfoIsSelfConsistent)
         const bool mt = name.rfind("mt-", 0) == 0 ||
             name.rfind("sgx-mt-", 0) == 0;
         EXPECT_EQ(info.requiresSmt, mt) << name;
-        EXPECT_EQ(info.powerObservable, name.rfind("power-", 0) == 0)
+        // Every channel but slow-switch is a DSB channel whose name
+        // ends in its primitive.
+        const bool misalign =
+            name.find("misalignment") != std::string::npos;
+        if (name == "slow-switch") {
+            EXPECT_FALSE(info.primitive.has_value());
+        } else {
+            EXPECT_TRUE(info.primitive ==
+                        (misalign ? DsbPrimitive::Misalignment
+                                  : DsbPrimitive::Eviction))
+                << name;
+        }
+        EXPECT_EQ(makeChannel(name, core, info.defaultConfig)
+                      ->observableIsPower(),
+                  name.rfind("power-", 0) == 0)
             << name;
     }
 }

@@ -11,9 +11,7 @@
 #include <cctype>
 
 #include "common/message.hh"
-#include "core/mt_channels.hh"
-#include "core/nonmt_channels.hh"
-#include "core/power_channels.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
 #include "sim/cpu_model.hh"
 
@@ -56,8 +54,9 @@ class NonMtChannelsOnCpu
 TEST_P(NonMtChannelsOnCpu, FastEvictionWorks)
 {
     TrialContext ctx(*GetParam(), 11);
-    NonMtEvictionChannel channel(ctx.core(), evictCfg());
-    const auto res = channel.transmit(message(), ctx);
+    const auto channel = makeChannel("nonmt-fast-eviction",
+                                     ctx.core(), evictCfg());
+    const auto res = channel->transmit(message(), ctx);
     EXPECT_LT(res.errorRate, 0.12);
     EXPECT_GT(res.transmissionKbps, 100.0);
     EXPECT_LT(res.transmissionKbps, 20000.0);
@@ -66,24 +65,27 @@ TEST_P(NonMtChannelsOnCpu, FastEvictionWorks)
 TEST_P(NonMtChannelsOnCpu, StealthyEvictionWorks)
 {
     TrialContext ctx(*GetParam(), 12);
-    NonMtEvictionChannel channel(ctx.core(), evictCfg(true));
-    const auto res = channel.transmit(message(), ctx);
+    const auto channel = makeChannel("nonmt-stealthy-eviction",
+                                     ctx.core(), evictCfg(true));
+    const auto res = channel->transmit(message(), ctx);
     EXPECT_LT(res.errorRate, 0.2);
 }
 
 TEST_P(NonMtChannelsOnCpu, FastMisalignmentWorks)
 {
     TrialContext ctx(*GetParam(), 13);
-    NonMtMisalignmentChannel channel(ctx.core(), misalignCfg());
-    const auto res = channel.transmit(message(), ctx);
+    const auto channel = makeChannel("nonmt-fast-misalignment",
+                                     ctx.core(), misalignCfg());
+    const auto res = channel->transmit(message(), ctx);
     EXPECT_LT(res.errorRate, 0.15);
 }
 
 TEST_P(NonMtChannelsOnCpu, StealthyMisalignmentBeatsGuessing)
 {
     TrialContext ctx(*GetParam(), 14);
-    NonMtMisalignmentChannel channel(ctx.core(), misalignCfg(true));
-    const auto res = channel.transmit(message(100), ctx);
+    const auto channel = makeChannel("nonmt-stealthy-misalignment",
+                                     ctx.core(), misalignCfg(true));
+    const auto res = channel->transmit(message(100), ctx);
     EXPECT_LT(res.errorRate, 0.35); // noisy but far from 50%
 }
 
@@ -93,8 +95,8 @@ TEST_P(NonMtChannelsOnCpu, SlowSwitchWorks)
     ChannelConfig cfg;
     cfg.r = 16;
     cfg.rounds = 20;
-    SlowSwitchChannel channel(ctx.core(), cfg);
-    const auto res = channel.transmit(message(), ctx);
+    const auto channel = makeChannel("slow-switch", ctx.core(), cfg);
+    const auto res = channel->transmit(message(), ctx);
     EXPECT_LT(res.errorRate, 0.12);
     // Mixed issue must be distinguishable from ordered issue.
     EXPECT_NE(res.meanObs0, res.meanObs1);
@@ -103,12 +105,14 @@ TEST_P(NonMtChannelsOnCpu, SlowSwitchWorks)
 TEST_P(NonMtChannelsOnCpu, FastBeatsStealthyRate)
 {
     TrialContext fast_ctx(*GetParam(), 16);
-    NonMtEvictionChannel fast(fast_ctx.core(), evictCfg(false));
-    const auto fast_res = fast.transmit(message(), fast_ctx);
+    const auto fast = makeChannel("nonmt-fast-eviction",
+                                  fast_ctx.core(), evictCfg(false));
+    const auto fast_res = fast->transmit(message(), fast_ctx);
     TrialContext stealthy_ctx(*GetParam(), 16);
-    NonMtEvictionChannel stealthy(stealthy_ctx.core(), evictCfg(true));
-    const auto stealthy_res = stealthy.transmit(message(),
-                                                stealthy_ctx);
+    const auto stealthy = makeChannel("nonmt-stealthy-eviction",
+                                      stealthy_ctx.core(), evictCfg(true));
+    const auto stealthy_res = stealthy->transmit(message(),
+                                                 stealthy_ctx);
     EXPECT_GT(fast_res.transmissionKbps,
               stealthy_res.transmissionKbps * 0.99);
 }
@@ -134,8 +138,8 @@ class MtChannelsOnCpu
 TEST_P(MtChannelsOnCpu, EvictionWorks)
 {
     TrialContext ctx(*GetParam(), 21);
-    MtEvictionChannel channel(ctx.core(), evictCfg());
-    const auto res = channel.transmit(message(40), ctx);
+    const auto channel = makeChannel("mt-eviction", ctx.core(), evictCfg());
+    const auto res = channel->transmit(message(40), ctx);
     EXPECT_LT(res.errorRate, 0.3);
     EXPECT_GT(res.transmissionKbps, 20.0);
     EXPECT_LT(res.transmissionKbps, 1000.0);
@@ -144,19 +148,21 @@ TEST_P(MtChannelsOnCpu, EvictionWorks)
 TEST_P(MtChannelsOnCpu, MisalignmentWorks)
 {
     TrialContext ctx(*GetParam(), 22);
-    MtMisalignmentChannel channel(ctx.core(), misalignCfg());
-    const auto res = channel.transmit(message(40), ctx);
+    const auto channel = makeChannel("mt-misalignment",
+                                     ctx.core(), misalignCfg());
+    const auto res = channel->transmit(message(40), ctx);
     EXPECT_LT(res.errorRate, 0.3);
 }
 
 TEST_P(MtChannelsOnCpu, NonMtFasterThanMt)
 {
     TrialContext mt_ctx(*GetParam(), 23);
-    MtEvictionChannel mt(mt_ctx.core(), evictCfg());
-    const auto mt_res = mt.transmit(message(30), mt_ctx);
+    const auto mt = makeChannel("mt-eviction", mt_ctx.core(), evictCfg());
+    const auto mt_res = mt->transmit(message(30), mt_ctx);
     TrialContext nonmt_ctx(*GetParam(), 23);
-    NonMtEvictionChannel nonmt(nonmt_ctx.core(), evictCfg());
-    const auto nonmt_res = nonmt.transmit(message(30), nonmt_ctx);
+    const auto nonmt = makeChannel("nonmt-fast-eviction",
+                                   nonmt_ctx.core(), evictCfg());
+    const auto nonmt_res = nonmt->transmit(message(30), nonmt_ctx);
     EXPECT_GT(nonmt_res.transmissionKbps,
               3.0 * mt_res.transmissionKbps);
 }
@@ -174,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MtChannels, RequireSmt)
 {
     Core core(xeonE2288G());
-    EXPECT_DEATH(MtEvictionChannel(core, evictCfg()), "SMT");
+    EXPECT_DEATH(makeChannel("mt-eviction", core, evictCfg()), "SMT");
 }
 
 TEST(MtChannels, RequireUpperHalfTargetSet)
@@ -182,8 +188,8 @@ TEST(MtChannels, RequireUpperHalfTargetSet)
     Core core(gold6226());
     ChannelConfig cfg = evictCfg();
     cfg.targetSet = 3;
-    MtEvictionChannel channel(core, cfg);
-    EXPECT_DEATH(channel.setup(), "partition-mapped");
+    const auto channel = makeChannel("mt-eviction", core, cfg);
+    EXPECT_DEATH(channel->setup(), "partition-mapped");
 }
 
 // ---- Power channels (Gold 6226, Table V setting). ----
@@ -191,13 +197,13 @@ TEST(MtChannels, RequireUpperHalfTargetSet)
 TEST(PowerChannels, EvictionTransmits)
 {
     TrialContext ctx(gold6226(), 31);
-    PowerChannelConfig power_cfg;
-    power_cfg.rounds = 12000;
-    PowerEvictionChannel channel(ctx.core(), evictCfg(true),
-                                 power_cfg);
+    ChannelExtras extras;
+    extras.power.rounds = 12000;
+    const auto channel = makeChannel("power-eviction",
+                                     ctx.core(), evictCfg(true), extras);
     Rng rng(4);
     const auto msg = makeMessage(MessagePattern::Alternating, 8, rng);
-    const auto res = channel.transmit(msg, ctx, 6);
+    const auto res = channel->transmit(msg, ctx, 6);
     EXPECT_LT(res.errorRate, 0.25);
     // Orders of magnitude below the timing channels.
     EXPECT_LT(res.transmissionKbps, 100.0);
@@ -206,13 +212,13 @@ TEST(PowerChannels, EvictionTransmits)
 TEST(PowerChannels, MisalignmentTransmits)
 {
     TrialContext ctx(gold6226(), 32);
-    PowerChannelConfig power_cfg;
-    power_cfg.rounds = 20000;
-    PowerMisalignmentChannel channel(ctx.core(), misalignCfg(true),
-                                     power_cfg);
+    ChannelExtras extras;
+    extras.power.rounds = 20000;
+    const auto channel = makeChannel("power-misalignment",
+                                     ctx.core(), misalignCfg(true), extras);
     Rng rng(5);
     const auto msg = makeMessage(MessagePattern::Alternating, 8, rng);
-    const auto res = channel.transmit(msg, ctx, 6);
+    const auto res = channel->transmit(msg, ctx, 6);
     EXPECT_LT(res.errorRate, 0.25);
 }
 
@@ -223,7 +229,7 @@ TEST(ChannelConfig, BadDPanics)
     Core core(gold6226());
     ChannelConfig cfg;
     cfg.d = 0;
-    EXPECT_DEATH(NonMtEvictionChannel(core, cfg), "d=0");
+    EXPECT_DEATH(makeChannel("nonmt-fast-eviction", core, cfg), "d=0");
 }
 
 TEST(ChannelConfig, MisalignNeedsMGreaterThanD)
@@ -232,8 +238,8 @@ TEST(ChannelConfig, MisalignNeedsMGreaterThanD)
     ChannelConfig cfg;
     cfg.d = 8;
     cfg.M = 8;
-    NonMtMisalignmentChannel channel(core, cfg);
-    EXPECT_DEATH(channel.setup(), "M > d");
+    const auto channel = makeChannel("nonmt-fast-misalignment", core, cfg);
+    EXPECT_DEATH(channel->setup(), "M > d");
 }
 
 } // namespace

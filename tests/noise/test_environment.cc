@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/nonmt_channels.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
 #include "noise/environment.hh"
 #include "run/sweep.hh"
@@ -151,12 +151,14 @@ TEST(EnvIdentity, ZeroNoiseEnvironmentMatchesDefaultContext)
     const auto msg = altMessage(60);
 
     TrialContext plain_ctx(gold6226(), 33);
-    NonMtEvictionChannel plain(plain_ctx.core(), cfg);
-    const ChannelResult expect = plain.transmit(msg, plain_ctx);
+    const auto plain = makeChannel("nonmt-fast-eviction",
+                                   plain_ctx.core(), cfg);
+    const ChannelResult expect = plain->transmit(msg, plain_ctx);
 
     TrialContext env_ctx(gold6226(), 33, EnvironmentSpec{});
-    NonMtEvictionChannel with_env(env_ctx.core(), cfg);
-    const ChannelResult got = with_env.transmit(msg, env_ctx);
+    const auto with_env = makeChannel("nonmt-fast-eviction",
+                                      env_ctx.core(), cfg);
+    const ChannelResult got = with_env->transmit(msg, env_ctx);
 
     EXPECT_EQ(got.received, expect.received);
     EXPECT_EQ(got.errorRate, expect.errorRate);

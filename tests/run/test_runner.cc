@@ -153,6 +153,11 @@ TEST(ExperimentRunner, ValidatesBadSpecs)
     EXPECT_FALSE(res6[0].ok);
     EXPECT_NE(res6[0].error.find("M > d"), std::string::npos);
 
+    // Eviction channels never consult M, so d = N is fine there.
+    spec.channel = "nonmt-fast-eviction";
+    const auto res6b = ExperimentRunner(4).run({spec});
+    EXPECT_TRUE(res6b[0].ok) << res6b[0].error;
+
     spec.channel = "mt-eviction";
     spec.cpu = "Gold 6226";
     spec.overrides.clear();

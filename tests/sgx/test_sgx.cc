@@ -5,9 +5,8 @@
 #include <cctype>
 
 #include "common/message.hh"
-#include "core/nonmt_channels.hh"
+#include "core/channel_registry.hh"
 #include "core/trial_context.hh"
-#include "sgx/sgx_channels.hh"
 #include "sim/cpu_model.hh"
 
 namespace lf {
@@ -20,14 +19,14 @@ message(std::size_t bits = 30)
     return makeMessage(MessagePattern::Alternating, bits, rng);
 }
 
-SgxConfig
+ChannelExtras
 fastSgx()
 {
-    SgxConfig sgx;
-    sgx.rounds = 2000; // keep tests quick
-    sgx.mtSteps = 40;
-    sgx.mtMeasPerStep = 10;
-    return sgx;
+    ChannelExtras extras;
+    extras.sgx.rounds = 2000; // keep tests quick
+    extras.sgx.mtSteps = 40;
+    extras.sgx.mtMeasPerStep = 10;
+    return extras;
 }
 
 class SgxChannelsOnCpu
@@ -40,8 +39,9 @@ TEST_P(SgxChannelsOnCpu, NonMtEvictionWorks)
     TrialContext ctx(*GetParam(), 41);
     ChannelConfig cfg;
     cfg.d = 6;
-    SgxNonMtEvictionChannel channel(ctx.core(), cfg, fastSgx());
-    const auto res = channel.transmit(message(), ctx, 8);
+    const auto channel = makeChannel("sgx-nonmt-fast-eviction",
+                                     ctx.core(), cfg, fastSgx());
+    const auto res = channel->transmit(message(), ctx, 8);
     EXPECT_LT(res.errorRate, 0.15);
     EXPECT_GT(res.transmissionKbps, 5.0);
     EXPECT_LT(res.transmissionKbps, 500.0);
@@ -53,8 +53,9 @@ TEST_P(SgxChannelsOnCpu, NonMtMisalignmentWorks)
     ChannelConfig cfg;
     cfg.d = 5;
     cfg.M = 8;
-    SgxNonMtMisalignmentChannel channel(ctx.core(), cfg, fastSgx());
-    const auto res = channel.transmit(message(), ctx, 8);
+    const auto channel = makeChannel("sgx-nonmt-fast-misalignment",
+                                     ctx.core(), cfg, fastSgx());
+    const auto res = channel->transmit(message(), ctx, 8);
     EXPECT_LT(res.errorRate, 0.15);
 }
 
@@ -63,13 +64,14 @@ TEST_P(SgxChannelsOnCpu, SgxSlowerThanNonSgx)
     ChannelConfig cfg;
     cfg.d = 6;
     TrialContext sgx_ctx(*GetParam(), 43);
-    SgxNonMtEvictionChannel sgx_channel(sgx_ctx.core(), cfg,
-                                        fastSgx());
-    const auto sgx_res = sgx_channel.transmit(message(), sgx_ctx, 8);
+    const auto sgx_channel = makeChannel("sgx-nonmt-fast-eviction",
+                                         sgx_ctx.core(), cfg, fastSgx());
+    const auto sgx_res = sgx_channel->transmit(message(), sgx_ctx, 8);
 
     TrialContext plain_ctx(*GetParam(), 43);
-    NonMtEvictionChannel plain(plain_ctx.core(), cfg);
-    const auto plain_res = plain.transmit(message(), plain_ctx, 8);
+    const auto plain = makeChannel("nonmt-fast-eviction",
+                                   plain_ctx.core(), cfg);
+    const auto plain_res = plain->transmit(message(), plain_ctx, 8);
     // Paper: SGX rates are 1/25 - 1/30 of non-SGX; with the reduced
     // test rounds we still require a large gap.
     EXPECT_GT(plain_res.transmissionKbps,
@@ -94,8 +96,9 @@ TEST(SgxMtChannels, EvictionWorksOnSmtSgxMachines)
         TrialContext ctx(*cpu, 44);
         ChannelConfig cfg;
         cfg.d = 6;
-        SgxMtEvictionChannel channel(ctx.core(), cfg, fastSgx());
-        const auto res = channel.transmit(message(20), ctx, 6);
+        const auto channel = makeChannel("sgx-mt-eviction",
+                                         ctx.core(), cfg, fastSgx());
+        const auto res = channel->transmit(message(20), ctx, 6);
         EXPECT_LT(res.errorRate, 0.3) << cpu->name;
     }
 }
@@ -109,8 +112,9 @@ TEST(SgxMtChannels, MisalignmentWorksOnSmtSgxMachines)
         ChannelConfig cfg;
         cfg.d = 5;
         cfg.M = 8;
-        SgxMtMisalignmentChannel channel(ctx.core(), cfg, fastSgx());
-        const auto res = channel.transmit(message(20), ctx, 6);
+        const auto channel = makeChannel("sgx-mt-misalignment",
+                                         ctx.core(), cfg, fastSgx());
+        const auto res = channel->transmit(message(20), ctx, 6);
         EXPECT_LT(res.errorRate, 0.3) << cpu->name;
     }
 }
@@ -120,8 +124,7 @@ TEST(SgxChannels, RequireSgxSupport)
     Core core(gold6226()); // no SGX on the Gold 6226
     ChannelConfig cfg;
     cfg.d = 6;
-    EXPECT_DEATH(SgxNonMtEvictionChannel(core, cfg, SgxConfig{}),
-                 "SGX");
+    EXPECT_DEATH(makeChannel("sgx-nonmt-fast-eviction", core, cfg), "SGX");
 }
 
 TEST(SgxChannels, MtVariantRequiresSmt)
@@ -129,7 +132,7 @@ TEST(SgxChannels, MtVariantRequiresSmt)
     Core core(xeonE2288G()); // SGX yes, SMT no
     ChannelConfig cfg;
     cfg.d = 6;
-    EXPECT_DEATH(SgxMtEvictionChannel(core, cfg, SgxConfig{}), "SMT");
+    EXPECT_DEATH(makeChannel("sgx-mt-eviction", core, cfg), "SMT");
 }
 
 } // namespace
