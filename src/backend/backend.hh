@@ -41,10 +41,6 @@ class Backend
             rrStart_ ^= 1;
     }
 
-    /** Back to the pristine post-construction state (the engine
-     *  pointer is kept; its params are re-read for the issue width). */
-    void reset();
-
     /** Cycle at which the thread last retired a micro-op. */
     Cycles lastRetireCycle(ThreadId tid) const;
 

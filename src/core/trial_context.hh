@@ -14,13 +14,8 @@
  * resolution path from an ExperimentSpec (resolveTrial() in
  * src/run/experiment.hh).
  *
- * A TrialContext is rebindable: bind() tears the previous trial down
- * (defense hooks first) and reinitializes every facet for the next
- * one, reusing the Core's allocations via Core::reset(). A worker
- * thread of the streaming ExperimentRunner keeps one context alive
- * across its whole share of a batch — results are bit-identical to
- * constructing everything afresh per trial, just without the
- * per-trial construction cost.
+ * Every trial binds its own context and builds its own Core; a trial
+ * is a pure function of its spec.
  */
 
 #ifndef LF_CORE_TRIAL_CONTEXT_HH
@@ -74,9 +69,9 @@ class TrialContext
      * (Re)bind every facet of the context for one trial. The
      * defense-model mitigations of @p defense are folded into the
      * stored model copy (applyDefenseToModel()) before the Core is
-     * built, mirroring the seed pipeline. A second bind() reuses the
-     * Core allocation (Core::reset()) after uninstalling the previous
-     * defense's hooks — bit-identical to a fresh context.
+     * built, mirroring the seed pipeline. A second bind() tears the
+     * previous trial down (defense hooks first) and builds a fresh
+     * Core.
      */
     void bind(const CpuModel &model, std::uint64_t seed,
               const ChannelConfig &config, const ChannelExtras &extras,

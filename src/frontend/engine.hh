@@ -152,8 +152,8 @@ class FrontendEngine
      * decode), then the engine's per-run memo keyed by Program::uid()
      * (so rebinding the same image never re-decodes it), and only
      * then a fresh build. With setProgramCacheEnabled(false) every
-     * bind re-decodes — the rebuild-per-bind cost the throughput
-     * bench uses as its baseline. Identical decode either way.
+     * bind re-decodes (the reference mode). Identical decode either
+     * way.
      *
      * A caller-supplied @p table must describe @p program and must
      * outlive the binding (the PreparedChain contract).
@@ -221,14 +221,6 @@ class FrontendEngine
     /** Cycles advanced via skipCycles() instead of ticking — how much
      *  of the trial's time was provably-idle stall burn. */
     Cycles fastForwardedCycles() const { return fastForwardedCycles_; }
-
-    /**
-     * Reinitialize to the pristine post-construction state for
-     * @p params, reusing the cache/IDQ storage where possible so a
-     * per-trial reset (Core::reset()) avoids the construction
-     * allocations. Bit-identical to a freshly constructed engine.
-     */
-    void reset(const FrontendParams &params);
 
     /**
      * Backend interface: pop at most @p max_uops micro-ops from the
@@ -371,7 +363,7 @@ class FrontendEngine
 
     /** Decodes built for plain setProgram(tid, program) binds, keyed
      *  by Program::uid() (never reused, so entries cannot alias a new
-     *  image). Cleared on reset(), i.e. once per trial. */
+     *  image). Lives as long as the engine, i.e. one trial. */
     std::unordered_map<std::uint64_t, std::unique_ptr<ChunkTable>>
         tableMemo_;
 

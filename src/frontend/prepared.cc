@@ -102,36 +102,6 @@ prepareMixBlockChain(Addr base, int set,
 }
 
 PreparedChainPtr
-prepareAlignedMisalignedChain(Addr base, int set, int aligned_blocks,
-                              int misaligned_blocks, int first_way,
-                              int line_uops)
-{
-    std::ostringstream key;
-    key << "am|" << base << '|' << set << '|' << aligned_blocks << '|'
-        << misaligned_blocks << '|' << first_way << '|' << line_uops;
-    return memoise(key.str(), [&] {
-        return finishChain(
-            buildAlignedMisalignedChain(base, set, aligned_blocks,
-                                        misaligned_blocks, first_way),
-            line_uops);
-    });
-}
-
-PreparedChainPtr
-prepareMixBlockPass(Addr base, int set,
-                    const std::vector<BlockSpec> &specs, int line_uops)
-{
-    std::ostringstream key;
-    key << "pass|" << base << '|' << set << '|' << line_uops;
-    for (const BlockSpec &spec : specs)
-        key << '|' << spec.way << (spec.misaligned ? 'm' : 'a');
-    return memoise(key.str(), [&] {
-        return finishChain(buildMixBlockPass(base, set, specs),
-                           line_uops);
-    });
-}
-
-PreparedChainPtr
 prepareNopLoop(Addr base, int nops, int line_uops)
 {
     std::ostringstream key;

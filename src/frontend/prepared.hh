@@ -16,8 +16,7 @@
  *
  * Caching never changes results: a cached PreparedChain is
  * bit-identical to a freshly built one, and the enable switch below
- * exists precisely so tests and benches can prove that (and so the
- * throughput bench can measure the rebuild-per-trial cost in-run).
+ * exists precisely so the reference-mode tests can prove that.
  */
 
 #ifndef LF_FRONTEND_PREPARED_HH
@@ -50,14 +49,6 @@ using PreparedChainPtr = std::shared_ptr<const PreparedChain>;
 PreparedChainPtr prepareMixBlockChain(Addr base, int set,
                                       const std::vector<BlockSpec> &specs,
                                       int line_uops);
-PreparedChainPtr prepareAlignedMisalignedChain(Addr base, int set,
-                                               int aligned_blocks,
-                                               int misaligned_blocks,
-                                               int first_way,
-                                               int line_uops);
-PreparedChainPtr prepareMixBlockPass(Addr base, int set,
-                                     const std::vector<BlockSpec> &specs,
-                                     int line_uops);
 PreparedChainPtr prepareNopLoop(Addr base, int nops, int line_uops);
 PreparedChainPtr prepareLcpAddLoop(Addr base, LcpPattern pattern, int r,
                                    int line_uops);
@@ -100,8 +91,7 @@ void clearProgramCache();
 
 /**
  * RAII guard: run a scope with program caching forced to @p on,
- * restoring the previous switch on exit. Used by the identity tests
- * and the reference-baseline bench sections.
+ * restoring the previous switch on exit. Used by the identity tests.
  */
 class ProgramCachingScope
 {

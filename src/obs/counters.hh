@@ -8,8 +8,7 @@
  * path already owns. What this layer adds is *collection*: a single
  * named snapshot per trial, taken only when counter collection is
  * enabled, so the default run pays nothing beyond the increments
- * themselves (the throughput bench gates that overhead at <= 2% of
- * the PR-7 baseline).
+ * themselves.
  *
  * Collection is provably inert: it only reads, so every trial output
  * is bit-identical with counters enabled or disabled — the streaming

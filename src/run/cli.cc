@@ -16,6 +16,9 @@ namespace lf {
 
 namespace {
 
+/** Most points one LO:HI:STEP range may expand to. */
+constexpr double kMaxRangePoints = 1e6;
+
 /** Split on @p sep, keeping empty pieces (they become errors). */
 std::vector<std::string>
 split(const std::string &text, char sep)
@@ -58,9 +61,19 @@ parseAxisValues(const std::string &key, const std::string &text,
         if (hi < lo)
             return bad("HI must be >= LO");
         // Values are computed as lo + i*step (no accumulation drift);
-        // the epsilon admits HI itself despite rounding.
-        const auto points = static_cast<std::size_t>(
-            std::floor((hi - lo) / step + 1e-9)) + 1;
+        // the epsilon admits HI itself despite rounding. The count is
+        // bounded while still a double: casting a huge or non-finite
+        // count to size_t is undefined, and a merely huge one would
+        // allocate until killed.
+        const double count = std::floor((hi - lo) / step + 1e-9) + 1.0;
+        if (!std::isfinite(count) || count > kMaxRangePoints) {
+            char what[64];
+            std::snprintf(what, sizeof(what),
+                          "range has %g points (max %g)", count,
+                          kMaxRangePoints);
+            return bad(what);
+        }
+        const auto points = static_cast<std::size_t>(count);
         for (std::size_t i = 0; i < points; ++i)
             values.push_back(lo + static_cast<double>(i) * step);
         return "";
@@ -185,6 +198,63 @@ parseShardArg(const std::string &text, SweepShard &shard)
     shard.index = index;
     shard.count = count;
     return "";
+}
+
+bool
+parseGridFlag(const std::string &flag,
+              const std::function<std::string()> &value, SweepSpec &grid,
+              std::string &error)
+{
+    error.clear();
+    if (flag == "--channel") {
+        grid.channels.push_back(value());
+    } else if (flag == "--cpu") {
+        grid.cpus.push_back(value());
+    } else if (flag == "--trials") {
+        if (!parseStrictInt(value(), grid.trials) || grid.trials < 1)
+            error = "bad --trials value";
+    } else if (flag == "--seed") {
+        if (!parseStrictUint64(value(), grid.seed))
+            error = "bad --seed value";
+    } else if (flag == "--bits") {
+        int bits = 0;
+        if (!parseStrictInt(value(), bits) || bits < 1)
+            error = "bad --bits value";
+        else
+            grid.messageBits = static_cast<std::size_t>(bits);
+    } else if (flag == "--pattern") {
+        const std::string name = value();
+        MessagePattern pattern = MessagePattern::Alternating;
+        if (!messagePatternFromString(name, pattern))
+            error = "unknown pattern \"" + name + "\"";
+        else
+            grid.patterns = {pattern};
+    } else if (flag == "--preamble") {
+        if (!parseStrictInt(value(), grid.preambleBits) ||
+            grid.preambleBits < 2) {
+            error = "bad --preamble value";
+        }
+    } else if (flag == "--set") {
+        error = parseSetArg(value(), grid.baseOverrides);
+    } else if (flag == "--sweep") {
+        error = parseSweepArg(value(), grid.axes);
+    } else {
+        return false;
+    }
+    return true;
+}
+
+void
+expandGridAll(SweepSpec &grid)
+{
+    if (grid.channels.size() == 1 && grid.channels[0] == "all")
+        grid.channels = allChannelNames();
+    if (grid.cpus.empty() ||
+        (grid.cpus.size() == 1 && grid.cpus[0] == "all")) {
+        grid.cpus.clear();
+        for (const CpuModel *model : allCpuModels())
+            grid.cpus.push_back(model->name);
+    }
 }
 
 std::string

@@ -1,6 +1,7 @@
 /**
  * @file
- * Argument-parsing helpers shared by the lf_run CLI and its tests.
+ * Argument-parsing helpers shared by lf_run, lf_campaign and their
+ * tests.
  *
  * Everything here is strict on purpose: numbers must consume their
  * whole token ("40x" is rejected, std::stod would silently read 40),
@@ -51,7 +52,8 @@ std::string parseSetArg(const std::string &text,
 /**
  * Parse one --sweep argument into @p axes. Grammar, comma-separated:
  *
- *   KEY=LO:HI:STEP   inclusive range (STEP > 0, LO <= HI)
+ *   KEY=LO:HI:STEP   inclusive range (STEP > 0, LO <= HI, at most
+ *                    1,000,000 points)
  *   KEY=V1|V2|...    explicit value list
  *   KEY=VALUE        single value
  *
@@ -64,6 +66,24 @@ std::string parseSweepArg(const std::string &text,
 
 /** Parse an "i/n" shard selector (0 <= i < n). */
 std::string parseShardArg(const std::string &text, SweepShard &shard);
+
+/**
+ * Parse one of the grid flags lf_run and `lf_campaign plan` share —
+ * --channel, --cpu, --trials, --seed, --bits, --pattern, --preamble,
+ * --set and --sweep — into @p grid. @p value fetches the flag's
+ * argument; it is called exactly once, and only for a grid flag, so
+ * each CLI reports a missing value its own way.
+ * @return false (nothing consumed) when @p flag is not a grid flag;
+ *         otherwise true, with @p error set to a parse error or "".
+ */
+bool parseGridFlag(const std::string &flag,
+                   const std::function<std::string()> &value,
+                   SweepSpec &grid, std::string &error);
+
+/** Finish a grid parsed by parseGridFlag(): a lone "all" channel
+ *  becomes every registered channel, and no --cpu (or a lone "all")
+ *  becomes every CPU model. */
+void expandGridAll(SweepSpec &grid);
 
 /**
  * Rate-limited live progress line on stderr, shared by `lf_run

@@ -243,7 +243,7 @@ resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
     }
     // bind() folds the defense's model-level mitigations (RAPL
     // coarsening) into the context's model copy before the Core is
-    // built/reset.
+    // built.
     ctx.bind(model, spec.seed, cfg, extras, env, defense,
              spec.preambleBits);
     return "";
@@ -251,13 +251,6 @@ resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
 
 ExperimentResult
 runExperiment(const ExperimentSpec &spec)
-{
-    TrialContext ctx;
-    return runExperiment(spec, ctx);
-}
-
-ExperimentResult
-runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
 {
     ExperimentResult out;
     out.spec = spec;
@@ -271,6 +264,7 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
     const std::uint64_t prep_misses =
         counters_on ? preparedCacheThreadMisses() : 0;
 
+    TrialContext ctx;
     {
         obs::TraceScope span("resolve");
         out.error = resolveTrial(spec, ctx, &out.skipped);

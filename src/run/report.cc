@@ -68,12 +68,6 @@ JsonReport::number(const std::string &key, double value)
 }
 
 JsonReport &
-JsonReport::nullValue(const std::string &key)
-{
-    return field(key, "null");
-}
-
-JsonReport &
 JsonReport::integer(const std::string &key, long long value)
 {
     return field(key, std::to_string(value));

@@ -53,10 +53,6 @@ class JsonReport
     explicit JsonReport(const std::string &benchmark = "");
 
     JsonReport &number(const std::string &key, double value);
-    /** A JSON null — "this metric was not measurable here" (e.g.
-     *  thread-scaling ratios on hosts with too few cores), as opposed
-     *  to a measured zero. */
-    JsonReport &nullValue(const std::string &key);
     JsonReport &integer(const std::string &key, long long value);
     JsonReport &boolean(const std::string &key, bool value);
     JsonReport &string(const std::string &key,

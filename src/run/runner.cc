@@ -23,11 +23,10 @@ namespace {
 /** One trial, exception-safe: anything thrown becomes an error row so
  *  a bad spec never kills a worker. */
 ExperimentResult
-runOne(const ExperimentSpec &spec, TrialContext *ctx)
+runOne(const ExperimentSpec &spec)
 {
     try {
-        return ctx != nullptr ? runExperiment(spec, *ctx)
-                              : runExperiment(spec);
+        return runExperiment(spec);
     } catch (const std::exception &e) {
         ExperimentResult out;
         out.spec = spec;
@@ -81,8 +80,7 @@ ExperimentRunner::reorderWindowFor(int workers)
 
 void
 ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
-                      const ResultCallback &on_result,
-                      StreamOrder order) const
+                      const ResultCallback &on_result) const
 {
     lf_assert(on_result != nullptr, "streaming run needs a callback");
     if (specs.empty())
@@ -131,16 +129,13 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     };
 
     if (workers <= 1) {
-        // Single-threaded: compute and deliver inline. Both stream
-        // orders coincide with spec order.
-        TrialContext ctx;
-        TrialContext *reuse = coreReuse_ ? &ctx : nullptr;
+        // Single-threaded: compute and deliver inline.
         for (std::size_t i = 0; i < n; ++i) {
             if (trialProbe_)
                 trialProbe_(i, i);
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            const ExperimentResult res = runOne(specs[i], reuse);
+            const ExperimentResult res = runOne(specs[i]);
             obs::traceComplete("trial", trial_start, i, true);
             if (metricsSink_ != nullptr) {
                 count_outcome(res);
@@ -159,13 +154,13 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
 
     // Workers claim spec indices through an atomic ticket counter and
     // publish into a ring of completion slots; the calling thread is
-    // the only consumer, delivering either in spec order or as
-    // results land. The ring bounds how far workers run ahead of
-    // delivery, so memory stays O(threads + window) however large the
-    // batch is. All steady-state coordination is the per-slot seq
-    // atomics; `mutex` and the condvars exist only to park, and the
-    // Dekker-style flags below (`consumerParked`, `blockedWorkers`)
-    // make every wakeup conditional on somebody actually sleeping:
+    // the only consumer, delivering in spec order. The ring bounds
+    // how far workers run ahead of delivery, so memory stays
+    // O(threads + window) however large the batch is. All steady-
+    // state coordination is the per-slot seq atomics; `mutex` and the
+    // condvars exist only to park, and the Dekker-style flags below
+    // (`consumerParked`, `blockedWorkers`) make every wakeup
+    // conditional on somebody actually sleeping:
     //  - producer publishes seq (seq_cst), then loads consumerParked;
     //    the consumer stores consumerParked (seq_cst), then re-checks
     //    seq — at least one side observes the other, so the consumer
@@ -192,8 +187,6 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     std::atomic<std::uint64_t> wakeBroadcasts{0};
 
     auto work = [&]() {
-        TrialContext ctx;
-        TrialContext *reuse = coreReuse_ ? &ctx : nullptr;
         for (;;) {
             const std::uint64_t i = next.fetch_add(1);
             if (i >= n)
@@ -217,7 +210,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
                 trialProbe_(i, delivered.load());
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            slot.result = runOne(specs[i], reuse);
+            slot.result = runOne(specs[i]);
             obs::traceComplete("trial", trial_start, i, true);
             slot.seq.store(i + 1); // publish (seq_cst)
             if (consumerParked.load()) {
@@ -297,39 +290,10 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     };
 
     try {
-        if (order == StreamOrder::SpecOrder) {
-            for (std::uint64_t d = 0; d < n; ++d) {
-                Slot &slot = slots[d % window];
-                consumerWait([&] { return slot.seq.load() == d + 1; });
-                deliver(slot, d + window);
-            }
-        } else {
-            // Completion order: collect any published slot. Slot k
-            // holds a ready ticket t (t % window == k) exactly when
-            // seq == t + 1, i.e. seq % window == (k + 1) % window.
-            const auto readyTicket = [&](std::size_t k) -> std::int64_t {
-                const std::uint64_t s = slots[k].seq.load();
-                if (s % window == (k + 1) % window)
-                    return static_cast<std::int64_t>(s - 1);
-                return -1;
-            };
-            std::uint64_t count = 0;
-            while (count < n) {
-                std::size_t k = 0;
-                consumerWait([&] {
-                    for (std::size_t j = 0; j < window; ++j) {
-                        if (readyTicket(j) >= 0) {
-                            k = j;
-                            return true;
-                        }
-                    }
-                    return false;
-                });
-                const std::uint64_t ticket =
-                    static_cast<std::uint64_t>(readyTicket(k));
-                deliver(slots[k], ticket + window);
-                ++count;
-            }
+        for (std::uint64_t d = 0; d < n; ++d) {
+            Slot &slot = slots[d % window];
+            consumerWait([&] { return slot.seq.load() == d + 1; });
+            deliver(slot, d + window);
         }
     } catch (...) {
         shutdown();
@@ -354,11 +318,9 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs) const
 {
     std::vector<ExperimentResult> results;
     results.reserve(specs.size());
-    run(specs,
-        [&results](const ExperimentResult &res) {
-            results.push_back(res);
-        },
-        StreamOrder::SpecOrder);
+    run(specs, [&results](const ExperimentResult &res) {
+        results.push_back(res);
+    });
     return results;
 }
 

@@ -4,19 +4,16 @@
  *
  * Trials are embarrassingly parallel: each is a pure function of its
  * spec (seed included), so the runner fans a batch out across a
- * std::thread pool via an atomic work index. Each worker keeps one
- * TrialContext alive for its whole share of the batch and rebinds it
- * per trial (Core::reset() instead of per-trial Core construction) —
- * results are bit-identical to building everything afresh, without
- * the construction cost.
+ * std::thread pool via an atomic work index; every trial builds its
+ * own TrialContext and Core (runExperiment()).
  *
  * Results *stream*: run(specs, callback) delivers each result on the
  * calling thread as it becomes available, so sinks can write rows and
  * sweep accumulators can fold cells while later trials are still
  * running — a million-trial sweep needs memory for the in-flight
- * window, not the whole batch. With StreamOrder::SpecOrder (the
- * default) delivery order is the spec order, making the stream — and
- * anything written from it — bit-identical at any thread count; a
+ * window, not the whole batch. Delivery order is the spec order,
+ * making the stream — and anything written from it — bit-identical
+ * at any thread count; a
  * bounded reorder window keeps workers from racing unboundedly ahead
  * of a slow consumer. The batch run() overload is a thin wrapper that
  * collects the stream into a vector.
@@ -48,21 +45,8 @@ namespace obs {
 struct RunMetrics;
 }
 
-/** How a streaming run() hands results to the callback. */
-enum class StreamOrder
-{
-    /** Deliver in spec order: deterministic byte-for-byte output at
-     *  any thread count (completed out-of-order results wait in the
-     *  reorder window). */
-    SpecOrder,
-    /** Deliver each result as soon as it completes: lowest latency,
-     *  but the order depends on scheduling. The result *set* is
-     *  still bit-identical. */
-    Completion,
-};
-
 /** Coordination counters of one streaming run() (diagnostics: the
- *  throughput bench emits them and gates against wakeup storms). */
+ *  streaming tests gate against wakeup storms with them). */
 struct StreamStats
 {
     /** Times a worker blocked because it was a full reorder window
@@ -71,8 +55,7 @@ struct StreamStats
     /** Times the consumer blocked waiting for the next result. */
     std::uint64_t consumerParks = 0;
     /** slot-free broadcasts issued (only ever sent while at least
-     *  one worker is parked; the pre-PR-7 runner broadcast once per
-     *  delivered row unconditionally). */
+     *  one worker is parked). */
     std::uint64_t wakeBroadcasts = 0;
 };
 
@@ -84,15 +67,6 @@ class ExperimentRunner
 
     /** Resolved worker count (>= 1). */
     int threads() const { return threads_; }
-
-    /**
-     * Per-worker Core reuse (default on): workers rebind one
-     * TrialContext per trial instead of constructing a fresh Core.
-     * Turning it off is only interesting for benchmarking the reuse
-     * win — results are bit-identical either way.
-     */
-    void setCoreReuse(bool on) { coreReuse_ = on; }
-    bool coreReuse() const { return coreReuse_; }
 
     /** Reorder-window size (slots) a streaming run of this runner
      *  uses: how far workers may run ahead of delivery. */
@@ -108,13 +82,10 @@ class ExperimentRunner
      * Test/diagnostic hook, called on the claiming worker right
      * before each trial starts as probe(index, delivered): @p index
      * is the spec about to run, @p delivered the number of results
-     * handed to the callback so far. Under StreamOrder::SpecOrder the
-     * claim protocol guarantees index < delivered + reorderWindow() —
-     * the probe is how the streaming tests assert workers never
-     * outrun the window. (Under Completion order delivery can
-     * additionally trail by up to the worker count, since consumption
-     * is out of ticket order.) Must be thread-safe; null (the
-     * default) disables it.
+     * handed to the callback so far. The claim protocol guarantees
+     * index < delivered + reorderWindow() — the probe is how the
+     * streaming tests assert workers never outrun the window. Must be
+     * thread-safe; null (the default) disables it.
      */
     using TrialProbe =
         std::function<void(std::size_t index, std::size_t delivered)>;
@@ -142,13 +113,12 @@ class ExperimentRunner
 
     /**
      * Run every spec, streaming results to @p on_result on the
-     * calling thread (the callback never needs to be thread-safe).
-     * An exception thrown by the callback stops the run (workers are
-     * drained and joined) and is rethrown.
+     * calling thread in spec order (the callback never needs to be
+     * thread-safe). An exception thrown by the callback stops the run
+     * (workers are drained and joined) and is rethrown.
      */
     void run(const std::vector<ExperimentSpec> &specs,
-             const ResultCallback &on_result,
-             StreamOrder order = StreamOrder::SpecOrder) const;
+             const ResultCallback &on_result) const;
 
     /**
      * Batch form: run every spec and return results in spec order.
@@ -164,7 +134,6 @@ class ExperimentRunner
 
   private:
     int threads_;
-    bool coreReuse_ = true;
     TrialProbe trialProbe_;
     StreamStats *statsSink_ = nullptr;
     obs::RunMetrics *metricsSink_ = nullptr;

@@ -34,17 +34,6 @@ class Core
   public:
     explicit Core(const CpuModel &model, std::uint64_t seed = 1);
 
-    /**
-     * Reinitialize in place to exactly the state of a freshly
-     * constructed Core(model, seed), reusing the cache-line/IDQ
-     * allocations of the previous trial. This is the per-worker
-     * core-reuse fast path of the streaming ExperimentRunner: trial
-     * results are bit-identical whether a Core is reset or rebuilt.
-     * Any Defense armed on this core must be torn down first (its
-     * destructor uninstalls the domain-switch hook).
-     */
-    void reset(const CpuModel &model, std::uint64_t seed);
-
     const CpuModel &model() const { return model_; }
     std::uint64_t seed() const { return seed_; }
     FrontendEngine &frontend() { return engine_; }

@@ -176,6 +176,13 @@ TEST(SweepParsing, RejectsBadAxes)
     EXPECT_FALSE(parseSweepArg("d=1:8:0", axes).empty());
     EXPECT_FALSE(parseSweepArg("d=1:8:-1", axes).empty());
     EXPECT_FALSE(parseSweepArg("d=1:8:1x", axes).empty());
+    // Point counts are bounded before anything is allocated: 3e9
+    // points used to allocate until killed, and 1e300 overflowed the
+    // size_t cast.
+    std::string error = parseSweepArg("d=1:3e9:1", axes);
+    EXPECT_NE(error.find("3e+09 points"), std::string::npos) << error;
+    error = parseSweepArg("d=0:1:1e-300", axes);
+    EXPECT_NE(error.find("1e+300 points"), std::string::npos) << error;
     EXPECT_TRUE(axes.empty());
 
     EXPECT_EQ(parseSweepArg("d=1:8:1", axes), "");
@@ -202,6 +209,83 @@ TEST(ShardParsing, RejectsBadSelectors)
     EXPECT_FALSE(parseShardArg("/4", shard).empty());
     EXPECT_FALSE(parseShardArg("a/b", shard).empty());
     EXPECT_FALSE(parseShardArg("0/0", shard).empty());
+}
+
+/** Feed "FLAG VALUE" pairs through parseGridFlag(); returns the
+ *  first error (or ""). */
+std::string
+parseGrid(const std::vector<std::pair<std::string, std::string>> &args,
+          SweepSpec &grid)
+{
+    for (const auto &[flag, value] : args) {
+        std::string error;
+        EXPECT_TRUE(parseGridFlag(
+            flag, [&value] { return value; }, grid, error))
+            << flag;
+        if (!error.empty())
+            return error;
+    }
+    return "";
+}
+
+TEST(GridFlags, ParsesEveryGridFlagAndExpandsAll)
+{
+    SweepSpec grid;
+    EXPECT_EQ(parseGrid({{"--channel", "all"},
+                         {"--trials", "3"},
+                         {"--seed", "7"},
+                         {"--bits", "12"},
+                         {"--pattern", "random"},
+                         {"--preamble", "2"},
+                         {"--set", "rounds=5"},
+                         {"--sweep", "d=2|4"}},
+                        grid),
+              "");
+    expandGridAll(grid);
+    EXPECT_EQ(grid.channels, allChannelNames());
+    ASSERT_EQ(grid.cpus.size(), allCpuModels().size());
+    EXPECT_EQ(grid.cpus.front(), allCpuModels().front()->name);
+    EXPECT_EQ(grid.trials, 3);
+    EXPECT_EQ(grid.seed, 7u);
+    EXPECT_EQ(grid.messageBits, 12u);
+    EXPECT_EQ(grid.patterns,
+              std::vector<MessagePattern>{MessagePattern::Random});
+    EXPECT_EQ(grid.preambleBits, 2);
+    EXPECT_EQ(grid.baseOverrides.at("rounds"), 5.0);
+    ASSERT_EQ(grid.axes.size(), 1u);
+
+    // "all" expands only when it stands alone; named CPUs are kept.
+    SweepSpec named;
+    EXPECT_EQ(parseGrid({{"--channel", "all"},
+                         {"--channel", "slow-switch"},
+                         {"--cpu", "Gold 6226"}},
+                        named),
+              "");
+    expandGridAll(named);
+    EXPECT_EQ(named.channels,
+              (std::vector<std::string>{"all", "slow-switch"}));
+    EXPECT_EQ(named.cpus, std::vector<std::string>{"Gold 6226"});
+}
+
+TEST(GridFlags, RejectsBadValuesAndLeavesOtherFlagsAlone)
+{
+    SweepSpec grid;
+    EXPECT_EQ(parseGrid({{"--trials", "0"}}, grid), "bad --trials value");
+    EXPECT_EQ(parseGrid({{"--trials", "2x"}}, grid),
+              "bad --trials value");
+    EXPECT_EQ(parseGrid({{"--preamble", "1"}}, grid),
+              "bad --preamble value");
+    EXPECT_EQ(parseGrid({{"--pattern", "stripes"}}, grid),
+              "unknown pattern \"stripes\"");
+
+    // Not a grid flag: nothing consumed, the value is never fetched.
+    std::string error;
+    bool fetched = false;
+    EXPECT_FALSE(parseGridFlag(
+        "--threads", [&fetched] { fetched = true; return "4"; }, grid,
+        error));
+    EXPECT_FALSE(fetched);
+    EXPECT_EQ(error, "");
 }
 
 TEST(SetParsing, DefenseKeysAreJustAsStrict)

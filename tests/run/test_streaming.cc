@@ -2,7 +2,7 @@
  * @file
  * Streaming-runner identity tests: the streamed callback API, the
  * batch API, 1/4/8 worker threads and every fast path (program
- * caching, core reuse, counters; checked against one reference mode)
+ * caching, counters; checked against one reference mode)
  * must all produce bit-identical results over a registry-wide spec
  * grid; the incremental SweepAccumulator must reproduce
  * aggregateSweep() exactly; and resolveTrial() must subsume the old
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -90,67 +89,6 @@ TEST(StreamingRunner, StreamMatchesBatchAtEveryThreadCount)
         EXPECT_EQ(jsonOf(streamed), batch_json) << threads;
         EXPECT_EQ(os.str(), batch_json) << threads;
     }
-}
-
-TEST(StreamingRunner, CompletionOrderDeliversTheSameResultSet)
-{
-    const auto &specs = registryGrid();
-    const auto in_order = ExperimentRunner(1).run(specs);
-
-    std::vector<ExperimentResult> completed;
-    ExperimentRunner(4).run(
-        specs,
-        [&](const ExperimentResult &res) {
-            completed.push_back(res);
-        },
-        StreamOrder::Completion);
-    ASSERT_EQ(completed.size(), in_order.size());
-
-    // Re-establish spec order by matching (channel, cpu, seed,
-    // overrides) — unique per spec in this grid — then compare bytes.
-    const auto key = [](const ExperimentResult &res) {
-        std::string k = res.spec.channel + "|" + res.spec.cpu + "|" +
-            std::to_string(res.spec.seed);
-        for (const auto &[name, value] : res.spec.overrides)
-            k += "|" + name + "=" + std::to_string(value);
-        return k;
-    };
-    const auto by_key = [&key](const ExperimentResult &a,
-                               const ExperimentResult &b) {
-        return key(a) < key(b);
-    };
-    auto sorted_completed = completed;
-    auto sorted_in_order = in_order;
-    std::sort(sorted_completed.begin(), sorted_completed.end(),
-              by_key);
-    std::sort(sorted_in_order.begin(), sorted_in_order.end(), by_key);
-    EXPECT_EQ(jsonOf(sorted_completed), jsonOf(sorted_in_order));
-}
-
-TEST(StreamingRunner, ReboundContextMatchesFreshContexts)
-{
-    // The worker-side primitive, without the pool: one TrialContext
-    // rebound across different specs must reproduce fresh contexts.
-    ExperimentSpec a;
-    a.channel = "nonmt-fast-eviction";
-    a.cpu = "Gold 6226";
-    a.seed = 5;
-    a.messageBits = 6;
-    ExperimentSpec b;
-    b.channel = "slow-switch";
-    b.cpu = "E-2288G";
-    b.seed = 9;
-    b.messageBits = 6;
-    b.overrides["model.lcpStall"] = 4;
-
-    TrialContext reused;
-    const auto first = runExperiment(a, reused);
-    const auto second = runExperiment(b, reused);
-    const auto third = runExperiment(a, reused);
-
-    EXPECT_EQ(jsonOf({first, second, third}),
-              jsonOf({runExperiment(a), runExperiment(b),
-                      runExperiment(a)}));
 }
 
 TEST(StreamingRunner, CallbackExceptionStopsAndPropagates)
@@ -258,10 +196,10 @@ quietGrid()
 TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
 {
     // Every fast path is pure memoisation or pure observation: the
-    // default configuration (program caching on, per-worker core
-    // reuse) at every thread count, with counters on or off, must
-    // render the same bytes as the reference mode — one thread,
-    // program caching off, counters off, a fresh core per trial.
+    // default configuration (program caching on) at every thread
+    // count, with counters on or off, must render the same bytes as
+    // the reference mode — one thread, program caching off, counters
+    // off.
     // Inputs: zero-noise cells, default-noise cells, and a handful
     // of environment-noise cells.
     std::vector<ExperimentSpec> specs = quietGrid();
@@ -278,12 +216,10 @@ TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
         const ProgramCachingScope caching(false);
         const obs::CounterScope counters(false);
         ExperimentRunner runner(1);
-        runner.setCoreReuse(false);
         reference = jsonOf(runner.run(specs));
     }
 
     ASSERT_TRUE(programCacheEnabled());
-    ASSERT_TRUE(ExperimentRunner().coreReuse());
     for (const int threads : {1, 4, 8}) {
         for (const bool counters_on : {false, true}) {
             const obs::CounterScope counters(counters_on);
