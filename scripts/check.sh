@@ -25,6 +25,7 @@ cmake --build build-asan -j "${JOBS}" \
              lf_obs_test_obs lf_run_test_sweep lf_run_test_cli \
              lf_noise_test_environment lf_defense_test_defense \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
+             lf_sim_test_steady_state \
              lf_run lf_campaign table_defenses
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_core_test_channels
@@ -40,6 +41,7 @@ cmake --build build-asan -j "${JOBS}" \
 ./build-asan/lf_defense_test_defense
 ./build-asan/lf_campaign_test_campaign
 ./build-asan/lf_campaign_test_campaign_files
+./build-asan/lf_sim_test_steady_state
 
 echo "== TSan: runner/streaming/campaign tests =="
 # The streaming runner is lock-free on its hot path (per-slot seq

@@ -13,7 +13,8 @@
 #ifndef LF_BACKEND_BACKEND_HH
 #define LF_BACKEND_BACKEND_HH
 
-#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "common/types.hh"
 #include "frontend/engine.hh"
@@ -41,9 +42,6 @@ class Backend
             rrStart_ ^= 1;
     }
 
-    /** Cycle at which the thread last retired a micro-op. */
-    Cycles lastRetireCycle(ThreadId tid) const;
-
     /** @name Retire-slot accounting (observability)
      * Each ticked cycle offers issueWidth retire slots; slotsUsed is
      * how many actually carried a micro-op, so utilisation is
@@ -55,10 +53,26 @@ class Backend
     std::uint64_t retireSlotsUsed() const { return slotsUsed_; }
     /// @}
 
+    /** @name Steady-state round skipping (sim/steady_state.hh) */
+    /// @{
+    /** Append the arbitration state (the round-robin start). */
+    void appendState(std::vector<std::uint64_t> &out) const
+    {
+        out.push_back(static_cast<std::uint64_t>(rrStart_));
+    }
+
+    /** Visit the retire-slot totals, in a fixed order. */
+    template <typename Fn>
+    void forEachTotal(Fn &&fn)
+    {
+        fn(tickCycles_);
+        fn(slotsUsed_);
+    }
+    /// @}
+
   private:
     FrontendEngine *engine_;
     int issueWidth_;
-    std::array<Cycles, FrontendEngine::kNumThreads> lastRetire_{};
     int rrStart_ = 0;
     std::uint64_t tickCycles_ = 0;
     std::uint64_t slotsUsed_ = 0;

@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -115,6 +116,16 @@ Rng
 Rng::fork()
 {
     return Rng(next() ^ 0xd1b54a32d192ed03ULL);
+}
+
+void
+Rng::appendState(std::vector<std::uint64_t> &out) const
+{
+    out.insert(out.end(), state_.begin(), state_.end());
+    std::uint64_t cached = 0;
+    std::memcpy(&cached, &cachedGaussian_, sizeof cached);
+    out.push_back(hasCachedGaussian_ ? 1 : 0);
+    out.push_back(cached);
 }
 
 } // namespace lf

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 namespace lf {
 
@@ -55,6 +56,11 @@ class Rng
 
     /** Fork a decorrelated child generator (for sub-components). */
     Rng fork();
+
+    /** Append the full generator state (including the cached
+     *  gaussian), so two snapshots compare equal iff no draw happened
+     *  in between. */
+    void appendState(std::vector<std::uint64_t> &out) const;
 
   private:
     std::array<std::uint64_t, 4> state_;

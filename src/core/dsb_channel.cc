@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "sim/executor.hh"
+#include "sim/steady_state.hh"
 
 namespace lf {
 
@@ -77,6 +78,7 @@ DsbChannel::runRounds(bool bit, int rounds, Cycles sync)
     // pattern repeats p = q times per bit).
     const PreparedChain *encode = bit ? encodeOne_.get()
                                       : encodeZero_.get();
+    SteadyStateSkipper skipper(core_, rounds);
     for (int round = 0; round < rounds; ++round) {
         core_.runCycles(sync); // sender phase handoff
         if (encode != nullptr) {
@@ -85,6 +87,9 @@ DsbChannel::runRounds(bool bit, int rounds, Cycles sync)
         }
         core_.runCycles(sync); // receiver phase handoff
         core_.setProgram(kReceiver, *receiver_);
+        // Round boundary: the bind just reset thread 0's pipeline, so
+        // a repeated machine state here repeats every later round.
+        round = skipper.atBoundary(round);
         runLoopIters(core_, kReceiver, *receiver_, 1);
     }
 }

@@ -1,5 +1,8 @@
 #include "frontend/bpu.hh"
 
+#include <algorithm>
+#include <utility>
+
 namespace lf {
 
 bool
@@ -43,6 +46,23 @@ Bpu::reset()
     counters_.clear();
     btbMisses_ = 0;
     condMispredicts_ = 0;
+}
+
+void
+Bpu::appendState(std::vector<std::uint64_t> &out) const
+{
+    std::vector<std::pair<Addr, std::uint64_t>> entries;
+    auto append_sorted = [&](auto &&map) {
+        entries.assign(map.begin(), map.end());
+        std::sort(entries.begin(), entries.end());
+        out.push_back(entries.size());
+        for (const auto &[addr, value] : entries) {
+            out.push_back(addr);
+            out.push_back(value);
+        }
+    };
+    append_sorted(btb_);
+    append_sorted(counters_);
 }
 
 } // namespace lf

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -43,6 +44,21 @@ class Bpu
     /** Record outcome counters (maintained by the frontend engine). */
     void noteBtbMiss() { ++btbMisses_; }
     void noteCondMispredict() { ++condMispredicts_; }
+
+    /** @name Steady-state round skipping (sim/steady_state.hh) */
+    /// @{
+    /** Append the BTB and the 2-bit counters, each sorted by branch
+     *  address (hash-map order is not state). */
+    void appendState(std::vector<std::uint64_t> &out) const;
+
+    /** Visit every statistic (a monotone total), in a fixed order. */
+    template <typename Fn>
+    void forEachTotal(Fn &&fn)
+    {
+        fn(btbMisses_);
+        fn(condMispredicts_);
+    }
+    /// @}
 
   private:
     std::unordered_map<Addr, Addr> btb_;

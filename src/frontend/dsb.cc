@@ -1,5 +1,7 @@
 #include "frontend/dsb.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -204,6 +206,32 @@ Dsb::resetStats()
     evictions_ = 0;
     inserts_ = 0;
     partitionTransitions_ = 0;
+}
+
+void
+Dsb::appendState(std::vector<std::uint64_t> &out) const
+{
+    out.push_back(partitioned_ ? 1 : 0);
+    out.push_back(salt_);
+    std::vector<const Line *> valid;
+    valid.reserve(static_cast<std::size_t>(numWays_));
+    for (int set = 0; set < numSets_; ++set) {
+        valid.clear();
+        for (int way = 0; way < numWays_; ++way) {
+            if (lineAt(set, way)->valid)
+                valid.push_back(lineAt(set, way));
+        }
+        std::sort(valid.begin(), valid.end(),
+                  [](const Line *a, const Line *b) {
+                      return a->lru < b->lru;
+                  });
+        out.push_back(valid.size());
+        for (const Line *line : valid) {
+            out.push_back(line->key);
+            out.push_back(static_cast<std::uint64_t>(line->tid));
+            out.push_back(static_cast<std::uint64_t>(line->uops));
+        }
+    }
 }
 
 } // namespace lf

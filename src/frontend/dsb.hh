@@ -105,6 +105,29 @@ class Dsb
     void resetStats();
     /// @}
 
+    /** @name Steady-state round skipping (sim/steady_state.hh) */
+    /// @{
+    /**
+     * Append the DSB's observable state: mode, salt, and each set's
+     * valid lines as (key, tid, uops) in recency order. Way placement
+     * and absolute LRU stamps are left out: lookups scan every way,
+     * and a fill takes an invalid way or else the oldest line, so
+     * neither is observable.
+     */
+    void appendState(std::vector<std::uint64_t> &out) const;
+
+    /** Visit every statistic (a monotone total), in a fixed order. */
+    template <typename Fn>
+    void forEachTotal(Fn &&fn)
+    {
+        fn(hits_);
+        fn(misses_);
+        fn(evictions_);
+        fn(inserts_);
+        fn(partitionTransitions_);
+    }
+    /// @}
+
     int numSets() const { return numSets_; }
     int numWays() const { return numWays_; }
 

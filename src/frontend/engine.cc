@@ -55,7 +55,7 @@ FrontendEngine::resolveTable(ThreadState &ts, const Program *program,
         ts.localTable.reset();
         return nullptr;
     }
-    if (!programCacheEnabled()) {
+    if (!fastPathsEnabled()) {
         // Reference mode: re-decode the whole image on every bind.
         // The decode is identical, only the work is repeated.
         ts.localTable = std::make_unique<ChunkTable>(*program, params_);
@@ -587,6 +587,58 @@ FrontendEngine::flushThreadFrontend(ThreadId tid)
     ts.nextIsBlockStart = true;
     ts.pendingChunk = nullptr;
     ts.pendingFromDsb = false;
+}
+
+void
+FrontendEngine::appendState(std::vector<std::uint64_t> &out) const
+{
+    out.push_back(dsbEnabled_ ? 1 : 0);
+    out.push_back(lsdStaticPartition_ ? 1 : 0);
+    out.push_back(static_cast<std::uint64_t>(lastSlot_));
+    dsb_.appendState(out);
+    l1i_.appendState(out);
+    bpu_.appendState(out);
+    // Only the distance to a live deadline is observable
+    // (setPoisoned() compares against the block clock).
+    for (const std::uint64_t deadline : poisonDeadline_)
+        out.push_back(deadline > blockClock_ ? deadline - blockClock_ : 0);
+    for (const ThreadState &ts : threads_) {
+        // The decode is a function of the program; nextChunk caches
+        // chunks->get(pc).
+        out.push_back(ts.program != nullptr ? 1 : 0);
+        out.push_back(ts.program != nullptr ? ts.program->uid() : 0);
+        out.push_back(ts.pc);
+        out.push_back(ts.halted ? 1 : 0);
+        out.push_back(ts.stall);
+        out.push_back(static_cast<std::uint64_t>(ts.lastSource));
+        ts.idq.appendState(out);
+        out.push_back(ts.lsdActive ? 1 : 0);
+        out.push_back(ts.lsdBody.size());
+        out.insert(out.end(), ts.lsdBody.begin(), ts.lsdBody.end());
+        out.push_back(ts.lsdPos);
+        out.push_back(ts.lsdHead);
+        ts.monitor.appendState(out);
+        out.push_back(ts.nextIsBlockStart ? 1 : 0);
+        out.push_back(ts.prevChunkLcp ? 1 : 0);
+        out.push_back(ts.pendingChunk != nullptr ? 1 : 0);
+        out.push_back(ts.pendingChunk != nullptr ? ts.pendingChunk->start
+                                                 : 0);
+        out.push_back(ts.pendingFromDsb ? 1 : 0);
+        out.push_back(ts.condCounts.size());
+        out.insert(out.end(), ts.condCounts.begin(), ts.condCounts.end());
+    }
+}
+
+void
+FrontendEngine::finishPeriodSkip(Cycles from_cycle,
+                                 std::uint64_t from_blocks)
+{
+    steadySkippedCycles_ += cycle_ - from_cycle;
+    const std::uint64_t shift = blockClock_ - from_blocks;
+    for (std::uint64_t &deadline : poisonDeadline_) {
+        if (deadline > from_blocks)
+            deadline += shift;
+    }
 }
 
 } // namespace lf

@@ -123,6 +123,16 @@ class UopQueue
         return take;
     }
 
+    /** Append the queued flags, oldest first (the ring position is
+     *  not state). */
+    void appendState(std::vector<std::uint64_t> &out) const
+    {
+        out.push_back(size_);
+        for (std::size_t i = 0, h = head_; i < size_;
+             ++i, h = (h + 1) & mask_)
+            out.push_back(buf_[h]);
+    }
+
   private:
     std::vector<std::uint8_t> buf_;
     std::size_t mask_ = 0;
@@ -151,9 +161,8 @@ class FrontendEngine
      * supplied @p table (a prepared program's shared immutable
      * decode), then the engine's per-run memo keyed by Program::uid()
      * (so rebinding the same image never re-decodes it), and only
-     * then a fresh build. With setProgramCacheEnabled(false) every
-     * bind re-decodes (the reference mode). Identical decode either
-     * way.
+     * then a fresh build. With setFastPathsEnabled(false) every bind
+     * re-decodes (the reference mode). Identical decode either way.
      *
      * A caller-supplied @p table must describe @p program and must
      * outlive the binding (the PreparedChain contract).
@@ -221,6 +230,48 @@ class FrontendEngine
     /** Cycles advanced via skipCycles() instead of ticking — how much
      *  of the trial's time was provably-idle stall burn. */
     Cycles fastForwardedCycles() const { return fastForwardedCycles_; }
+
+    /** @name Steady-state round skipping (sim/steady_state.hh) */
+    /// @{
+    /**
+     * Append the engine's canonical state: mode flags, the DSB, L1I
+     * and BPU contents, poison deadlines relative to the block clock,
+     * and both threads' pipeline state. Totals are not state.
+     */
+    void appendState(std::vector<std::uint64_t> &out) const;
+
+    /** Visit every monotone total (clocks, per-thread PerfCounters,
+     *  DSB/L1I/BPU statistics), in a fixed order. */
+    template <typename Fn>
+    void forEachTotal(Fn &&fn)
+    {
+        fn(cycle_);
+        fn(fastForwardedCycles_);
+        fn(blockClock_);
+        for (ThreadState &ts : threads_) {
+            for (std::uint64_t PerfCounters::*field : kPerfCounterFields)
+                fn(ts.counters.*field);
+        }
+        dsb_.forEachTotal(fn);
+        l1i_.forEachTotal(fn);
+        bpu_.forEachTotal(fn);
+    }
+
+    /**
+     * Finish a whole-period skip after forEachTotal() advanced the
+     * totals from (@p from_cycle, @p from_blocks): count the skipped
+     * cycles and keep each live poison deadline at the same distance
+     * from the block clock.
+     */
+    void finishPeriodSkip(Cycles from_cycle, std::uint64_t from_blocks);
+
+    /** Blocks delivered so far (the misalignment-poison clock). */
+    std::uint64_t blockClock() const { return blockClock_; }
+
+    /** Cycles advanced by whole-period skips (part of cycle(), not of
+     *  fastForwardedCycles()). */
+    Cycles steadySkippedCycles() const { return steadySkippedCycles_; }
+    /// @}
 
     /**
      * Backend interface: pop at most @p max_uops micro-ops from the
@@ -359,6 +410,7 @@ class FrontendEngine
     std::array<ThreadState, kNumThreads> threads_;
     Cycles cycle_ = 0;
     Cycles fastForwardedCycles_ = 0;
+    Cycles steadySkippedCycles_ = 0;
     int lastSlot_ = kNumThreads - 1;
 
     /** Decodes built for plain setProgram(tid, program) binds, keyed

@@ -1,5 +1,7 @@
 #include "frontend/l1i_cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace lf {
@@ -97,12 +99,27 @@ L1iCache::flushAll()
         line.valid = false;
 }
 
-double
-L1iCache::missRate() const
+void
+L1iCache::appendState(std::vector<std::uint64_t> &out) const
 {
-    if (accesses_ == 0)
-        return 0.0;
-    return static_cast<double>(misses_) / static_cast<double>(accesses_);
+    std::vector<const Line *> valid;
+    valid.reserve(static_cast<std::size_t>(numWays_));
+    for (int set = 0; set < numSets_; ++set) {
+        valid.clear();
+        for (int way = 0; way < numWays_; ++way) {
+            const Line &line =
+                lines_[static_cast<std::size_t>(set * numWays_ + way)];
+            if (line.valid)
+                valid.push_back(&line);
+        }
+        std::sort(valid.begin(), valid.end(),
+                  [](const Line *a, const Line *b) {
+                      return a->lru < b->lru;
+                  });
+        out.push_back(valid.size());
+        for (const Line *line : valid)
+            out.push_back(line->tag);
+    }
 }
 
 } // namespace lf

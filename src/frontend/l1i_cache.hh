@@ -48,7 +48,21 @@ class L1iCache
     /// @{
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
-    double missRate() const;
+    /// @}
+
+    /** @name Steady-state round skipping (sim/steady_state.hh) */
+    /// @{
+    /** Append each set's valid tags in recency order (way placement
+     *  and LRU stamps are unobservable, as in Dsb::appendState). */
+    void appendState(std::vector<std::uint64_t> &out) const;
+
+    /** Visit every statistic (a monotone total), in a fixed order. */
+    template <typename Fn>
+    void forEachTotal(Fn &&fn)
+    {
+        fn(accesses_);
+        fn(misses_);
+    }
     /// @}
 
     int numSets() const { return numSets_; }

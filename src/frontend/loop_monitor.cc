@@ -117,4 +117,23 @@ LoopMonitor::reset()
     bodyUops_ = 0;
 }
 
+void
+LoopMonitor::appendState(std::vector<std::uint64_t> &out) const
+{
+    out.push_back(head_);
+    out.push_back(static_cast<std::uint64_t>(stableIters_));
+    out.push_back(accum_.size());
+    for (const ChunkRecord &record : accum_) {
+        out.push_back(record.key);
+        out.push_back(static_cast<std::uint64_t>(record.uops));
+        out.push_back((record.fromDsb ? 1 : 0) |
+                      (record.blockStart ? 2 : 0));
+    }
+    out.push_back(lastKeys_.size());
+    out.insert(out.end(), lastKeys_.begin(), lastKeys_.end());
+    out.push_back(bodyKeys_.size());
+    out.insert(out.end(), bodyKeys_.begin(), bodyKeys_.end());
+    out.push_back(static_cast<std::uint64_t>(bodyUops_));
+}
+
 } // namespace lf

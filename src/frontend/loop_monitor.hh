@@ -82,6 +82,9 @@ class LoopMonitor
     /** Full reset: LSD flush, program switch, partition change. */
     void reset();
 
+    /** Append the detection state (sim/steady_state.hh). */
+    void appendState(std::vector<std::uint64_t> &out) const;
+
   private:
     /** Aligned/misaligned block census of the current accumulation. */
     void census(int &aligned, int &misaligned) const;

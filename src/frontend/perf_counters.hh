@@ -12,6 +12,7 @@
 #define LF_FRONTEND_PERF_COUNTERS_HH
 
 #include <cstdint>
+#include <iterator>
 
 namespace lf {
 
@@ -79,41 +80,48 @@ struct PerfCounters
     }
 
     /** Element-wise difference (this - earlier). */
-    PerfCounters delta(const PerfCounters &earlier) const
-    {
-        PerfCounters d;
-        d.uopsMite = uopsMite - earlier.uopsMite;
-        d.uopsDsb = uopsDsb - earlier.uopsDsb;
-        d.uopsLsd = uopsLsd - earlier.uopsLsd;
-        d.lcpStallCycles = lcpStallCycles - earlier.lcpStallCycles;
-        d.switchPenaltyCycles =
-            switchPenaltyCycles - earlier.switchPenaltyCycles;
-        d.dsbToMiteSwitches = dsbToMiteSwitches - earlier.dsbToMiteSwitches;
-        d.miteToDsbSwitches = miteToDsbSwitches - earlier.miteToDsbSwitches;
-        d.lsdEngagements = lsdEngagements - earlier.lsdEngagements;
-        d.lsdFlushes = lsdFlushes - earlier.lsdFlushes;
-        d.blocksDelivered = blocksDelivered - earlier.blocksDelivered;
-        d.mispredictStallCycles =
-            mispredictStallCycles - earlier.mispredictStallCycles;
-        d.btbMissStallCycles =
-            btbMissStallCycles - earlier.btbMissStallCycles;
-        d.l1iMissStallCycles =
-            l1iMissStallCycles - earlier.l1iMissStallCycles;
-        d.idqPushes = idqPushes - earlier.idqPushes;
-        d.idqPushedUops = idqPushedUops - earlier.idqPushedUops;
-        d.idqPops = idqPops - earlier.idqPops;
-        d.idqOccupancyAtPush =
-            idqOccupancyAtPush - earlier.idqOccupancyAtPush;
-        d.l1iAccesses = l1iAccesses - earlier.l1iAccesses;
-        d.l1iMisses = l1iMisses - earlier.l1iMisses;
-        d.btbMisses = btbMisses - earlier.btbMisses;
-        d.condMispredicts = condMispredicts - earlier.condMispredicts;
-        d.retiredInsts = retiredInsts - earlier.retiredInsts;
-        d.retiredUops = retiredUops - earlier.retiredUops;
-        d.specChunks = specChunks - earlier.specChunks;
-        return d;
-    }
+    PerfCounters delta(const PerfCounters &earlier) const;
 };
+
+/** Every PerfCounters field, for element-wise arithmetic. */
+inline constexpr std::uint64_t PerfCounters::*kPerfCounterFields[] = {
+    &PerfCounters::uopsMite,
+    &PerfCounters::uopsDsb,
+    &PerfCounters::uopsLsd,
+    &PerfCounters::lcpStallCycles,
+    &PerfCounters::switchPenaltyCycles,
+    &PerfCounters::dsbToMiteSwitches,
+    &PerfCounters::miteToDsbSwitches,
+    &PerfCounters::lsdEngagements,
+    &PerfCounters::lsdFlushes,
+    &PerfCounters::blocksDelivered,
+    &PerfCounters::mispredictStallCycles,
+    &PerfCounters::btbMissStallCycles,
+    &PerfCounters::l1iMissStallCycles,
+    &PerfCounters::idqPushes,
+    &PerfCounters::idqPushedUops,
+    &PerfCounters::idqPops,
+    &PerfCounters::idqOccupancyAtPush,
+    &PerfCounters::l1iAccesses,
+    &PerfCounters::l1iMisses,
+    &PerfCounters::btbMisses,
+    &PerfCounters::condMispredicts,
+    &PerfCounters::retiredInsts,
+    &PerfCounters::retiredUops,
+    &PerfCounters::specChunks,
+};
+static_assert(sizeof(PerfCounters) ==
+                  std::size(kPerfCounterFields) * sizeof(std::uint64_t),
+              "kPerfCounterFields must list every PerfCounters field");
+
+inline PerfCounters
+PerfCounters::delta(const PerfCounters &earlier) const
+{
+    PerfCounters d;
+    for (std::uint64_t PerfCounters::*field : kPerfCounterFields)
+        d.*field = this->*field - earlier.*field;
+    return d;
+}
 
 } // namespace lf
 

@@ -11,7 +11,7 @@ namespace lf {
 
 namespace {
 
-std::atomic<bool> g_programCacheEnabled{true};
+std::atomic<bool> g_fastPathsEnabled{true};
 
 std::atomic<std::uint64_t> g_preparedHits{0};
 std::atomic<std::uint64_t> g_preparedMisses{0};
@@ -54,7 +54,7 @@ template <typename BuildFn>
 PreparedChainPtr
 memoise(const std::string &key, BuildFn &&build)
 {
-    if (!g_programCacheEnabled.load(std::memory_order_relaxed)) {
+    if (!g_fastPathsEnabled.load(std::memory_order_relaxed)) {
         countMiss();
         return build();
     }
@@ -123,15 +123,15 @@ prepareLcpAddLoop(Addr base, LcpPattern pattern, int r, int line_uops)
 }
 
 void
-setProgramCacheEnabled(bool on)
+setFastPathsEnabled(bool on)
 {
-    g_programCacheEnabled.store(on, std::memory_order_relaxed);
+    g_fastPathsEnabled.store(on, std::memory_order_relaxed);
 }
 
 bool
-programCacheEnabled()
+fastPathsEnabled()
 {
-    return g_programCacheEnabled.load(std::memory_order_relaxed);
+    return g_fastPathsEnabled.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

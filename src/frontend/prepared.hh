@@ -54,19 +54,20 @@ PreparedChainPtr prepareLcpAddLoop(Addr base, LcpPattern pattern, int r,
                                    int line_uops);
 /// @}
 
-/** @name Hot-path caching switch (test/bench instrumentation)
- * Process-global; flip only while no runner is active. Results are
- * bit-identical either way — that invariant is what the streaming
+/** @name The fast-path switch (test instrumentation)
+ * Process-global; flip only while no runner is active. One switch
+ * gates every fast path: prepared-chain sharing, chunk-table reuse
+ * across rebinds, and steady-state round skipping (sim/steady_state).
+ * Off is the reference mode. Results and simulation counters are
+ * bit-identical either way; that invariant is what the streaming
  * tests assert and what makes the switch safe to expose.
  */
 /// @{
-/** Share prepared chains across trials and chunk tables across
- *  setProgram() rebinds of the same Program (default on). Off:
- *  prepare*() builds a fresh chain per call and every setProgram()
- *  re-decodes (see FrontendEngine::setProgram) — the rebuild-per-
- *  trial reference cost. */
-void setProgramCacheEnabled(bool on);
-bool programCacheEnabled();
+/** Turn every fast path on (the default) or off. Off: prepare*()
+ *  builds a fresh chain per call, every setProgram() re-decodes (see
+ *  FrontendEngine::setProgram), and every round is simulated. */
+void setFastPathsEnabled(bool on);
+bool fastPathsEnabled();
 
 /** Entries currently in the process-wide prepared-chain cache. */
 std::size_t programCacheSize();
@@ -90,19 +91,19 @@ void clearProgramCache();
 /// @}
 
 /**
- * RAII guard: run a scope with program caching forced to @p on,
+ * RAII guard: run a scope with the fast paths forced to @p on,
  * restoring the previous switch on exit. Used by the identity tests.
  */
-class ProgramCachingScope
+class FastPathScope
 {
   public:
-    explicit ProgramCachingScope(bool on) : prev_(programCacheEnabled())
+    explicit FastPathScope(bool on) : prev_(fastPathsEnabled())
     {
-        setProgramCacheEnabled(on);
+        setFastPathsEnabled(on);
     }
-    ~ProgramCachingScope() { setProgramCacheEnabled(prev_); }
-    ProgramCachingScope(const ProgramCachingScope &) = delete;
-    ProgramCachingScope &operator=(const ProgramCachingScope &) = delete;
+    ~FastPathScope() { setFastPathsEnabled(prev_); }
+    FastPathScope(const FastPathScope &) = delete;
+    FastPathScope &operator=(const FastPathScope &) = delete;
 
   private:
     bool prev_;

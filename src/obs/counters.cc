@@ -85,6 +85,9 @@ counterCatalog()
         {"fast_forwarded_cycles", "cycles advanced by stall"
          " fast-forward instead of ticking",
          &CounterSet::fastForwardedCycles},
+        {"steady_skipped_cycles", "cycles advanced by whole-period"
+         " steady-state round skips (part of cycles, not of"
+         " fast_forwarded_cycles)", &CounterSet::steadySkippedCycles},
         {"prepared_cache_hits", "prepared-chain builds served from the"
          " process-wide cache", &CounterSet::preparedCacheHits},
         {"prepared_cache_misses", "prepared-chain builds done from"
@@ -149,6 +152,8 @@ collectCoreCounters(const Core &core)
     set.cycles = static_cast<std::uint64_t>(engine.cycle());
     set.fastForwardedCycles =
         static_cast<std::uint64_t>(engine.fastForwardedCycles());
+    set.steadySkippedCycles =
+        static_cast<std::uint64_t>(engine.steadySkippedCycles());
     return set;
 }
 

@@ -95,6 +95,7 @@ struct CounterSet
     std::uint64_t specChunks = 0;
     std::uint64_t cycles = 0;
     std::uint64_t fastForwardedCycles = 0;
+    std::uint64_t steadySkippedCycles = 0;
     /// @}
 
     /** @name Prepared-chain cache (filled by runExperiment) */

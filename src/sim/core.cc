@@ -213,4 +213,40 @@ Core::counters(ThreadId tid) const
     return engine_.counters(tid);
 }
 
+bool
+Core::steadySkipAllowed() const
+{
+    return fastPathsEnabled() && !domainSwitchHook_;
+}
+
+void
+Core::appendSteadyState(std::vector<std::uint64_t> &out) const
+{
+    out.push_back(staticPartition_ ? 1 : 0);
+    engine_.appendState(out);
+    backend_.appendState(out);
+    rng_.appendState(out);
+}
+
+void
+Core::appendTotals(std::vector<std::uint64_t> &out)
+{
+    forEachTotal([&](std::uint64_t &total) { out.push_back(total); });
+}
+
+void
+Core::skipPeriods(const std::vector<std::uint64_t> &period,
+                  std::uint64_t n)
+{
+    std::size_t count = 0;
+    forEachTotal([&](std::uint64_t &) { ++count; });
+    lf_assert(count == period.size(), "period has %zu totals, core has %zu",
+              period.size(), count);
+    const Cycles from_cycle = cycle();
+    const std::uint64_t from_blocks = engine_.blockClock();
+    std::size_t i = 0;
+    forEachTotal([&](std::uint64_t &total) { total += n * period[i++]; });
+    engine_.finishPeriodSkip(from_cycle, from_blocks);
+}
+
 } // namespace lf

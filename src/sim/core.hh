@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "backend/backend.hh"
 #include "common/rng.hh"
@@ -135,7 +136,44 @@ class Core
     /** Counter snapshot for @p tid. */
     const PerfCounters &counters(ThreadId tid) const;
 
+    /** @name Steady-state round skipping (sim/steady_state.hh)
+     * Between two program binds the simulation is a deterministic
+     * function of the canonical state below, and every total moves
+     * by the same amount each time the same state repeats. */
+    /// @{
+    /** Skipping is sound: the fast paths are on and no domain-switch
+     *  hook is installed (the hook acts at every bind, and a flush
+     *  quantum counts binds outside the machine state). */
+    bool steadySkipAllowed() const;
+
+    /** Append the canonical machine state: staticPartition, the
+     *  frontend and backend state, and the RNG (so a draw between two
+     *  snapshots makes them differ). No totals. */
+    void appendSteadyState(std::vector<std::uint64_t> &out) const;
+
+    /** Append every monotone total, in the order skipPeriods() reads
+     *  them. */
+    void appendTotals(std::vector<std::uint64_t> &out);
+
+    /**
+     * Advance as if the span whose totals grew by @p period (a
+     * difference of two appendTotals() vectors taken at equal
+     * canonical states) ran @p n more times: every total gains
+     * n x period. RAPL needs nothing: its next read integrates the
+     * counter deltas.
+     */
+    void skipPeriods(const std::vector<std::uint64_t> &period,
+                     std::uint64_t n);
+    /// @}
+
   private:
+    template <typename Fn>
+    void forEachTotal(Fn &&fn)
+    {
+        engine_.forEachTotal(fn);
+        backend_.forEachTotal(fn);
+    }
+
     void syncRaplEnergy();
     void refreshPartitionState();
 

@@ -2,11 +2,12 @@
  * @file
  * Streaming-runner identity tests: the streamed callback API, the
  * batch API, 1/4/8 worker threads and every fast path (program
- * caching, counters; checked against one reference mode)
- * must all produce bit-identical results over a registry-wide spec
- * grid; the incremental SweepAccumulator must reproduce
- * aggregateSweep() exactly; and resolveTrial() must subsume the old
- * per-facet resolution (errors and skips become rows, never aborts).
+ * caching, steady-state round skipping, counters; checked against one
+ * reference mode) must all produce bit-identical results over a
+ * registry-wide spec grid; the incremental SweepAccumulator must
+ * reproduce aggregateSweep() exactly; and resolveTrial() must subsume
+ * the old per-facet resolution (errors and skips become rows, never
+ * aborts).
  */
 
 #include <gtest/gtest.h>
@@ -193,15 +194,28 @@ quietGrid()
     return specs;
 }
 
+/** Counters a fast path may legitimately move: prepared-cache traffic
+ *  depends on which worker built a chain first, and steady-state
+ *  skipping is the fast path itself. */
+bool
+fastPathCounter(const std::string &name)
+{
+    return name == "prepared_cache_hits" ||
+        name == "prepared_cache_misses" ||
+        name == "steady_skipped_cycles";
+}
+
 TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
 {
-    // Every fast path is pure memoisation or pure observation: the
-    // default configuration (program caching on) at every thread
+    // Every fast path is memoisation, observation or exact skipping:
+    // the default configuration (fast paths on) at every thread
     // count, with counters on or off, must render the same bytes as
-    // the reference mode — one thread, program caching off, counters
-    // off.
-    // Inputs: zero-noise cells, default-noise cells, and a handful
-    // of environment-noise cells.
+    // the reference mode (one thread, fast paths off), and every
+    // simulation counter of every ok trial must match it too.
+    // Inputs: zero-noise cells, default-noise cells, a handful of
+    // environment-noise cells, and defended cells of the loop-bound
+    // families: a flush quantum (steady-state skipping is refused)
+    // and randomized sets.
     std::vector<ExperimentSpec> specs = quietGrid();
     const auto &registry = registryGrid();
     for (std::size_t i = 0; i < registry.size(); ++i) {
@@ -210,27 +224,57 @@ TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
             spec.overrides["env.corunner_intensity"] = 0.5;
         specs.push_back(std::move(spec));
     }
-
-    std::string reference;
-    {
-        const ProgramCachingScope caching(false);
-        const obs::CounterScope counters(false);
-        ExperimentRunner runner(1);
-        reference = jsonOf(runner.run(specs));
+    for (const char *defense :
+         {"defense.flush_switch_quantum", "defense.randomize_sets"}) {
+        for (const char *channel :
+             {"power-eviction", "sgx-nonmt-fast-misalignment",
+              "nonmt-stealthy-eviction"}) {
+            ExperimentSpec spec;
+            spec.channel = channel;
+            spec.cpu = "E-2288G";
+            spec.seed = 31;
+            spec.messageBits = 4;
+            spec.overrides = {{defense, 1},
+                              {"sgxRounds", 400},
+                              {"powerRounds", 800}};
+            specs.push_back(std::move(spec));
+        }
     }
 
-    ASSERT_TRUE(programCacheEnabled());
+    std::vector<ExperimentResult> reference;
+    {
+        const FastPathScope fast_paths(false);
+        const obs::CounterScope counters(true);
+        reference = ExperimentRunner(1).run(specs);
+    }
+    const std::string reference_json = jsonOf(reference);
+
+    ASSERT_TRUE(fastPathsEnabled());
     for (const int threads : {1, 4, 8}) {
         for (const bool counters_on : {false, true}) {
             const obs::CounterScope counters(counters_on);
             const auto results = ExperimentRunner(threads).run(specs);
-            EXPECT_EQ(jsonOf(results), reference)
+            EXPECT_EQ(jsonOf(results), reference_json)
                 << "threads=" << threads << " counters=" << counters_on;
-            // Counter sets land only in ExperimentResult::counters,
-            // which no standard sink serializes: present iff ok.
-            for (const ExperimentResult &res : results) {
+            ASSERT_EQ(results.size(), reference.size());
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                const ExperimentResult &res = results[i];
+                // Counter sets land only in ExperimentResult::counters,
+                // which no standard sink serializes: present iff ok.
                 EXPECT_EQ(res.counters != nullptr, counters_on && res.ok)
                     << res.spec.channel;
+                if (!res.counters || !reference[i].counters)
+                    continue;
+                for (const obs::CounterInfo &info :
+                     obs::counterCatalog()) {
+                    if (fastPathCounter(info.name))
+                        continue;
+                    EXPECT_EQ(res.counters.get()->*info.field,
+                              reference[i].counters.get()->*info.field)
+                        << info.name << " of trial " << i << " ("
+                        << res.spec.channel << ", " << res.spec.cpu
+                        << ") threads=" << threads;
+                }
             }
         }
     }
