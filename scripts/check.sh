@@ -44,9 +44,10 @@ cmake --build build-asan -j "${JOBS}" \
 ./build-asan/lf_sim_test_steady_state
 
 echo "== TSan: runner/streaming/campaign tests =="
-# The streaming runner is lock-free on its hot path (per-slot seq
-# atomics + Dekker-style park flags); ThreadSanitizer is the gate
-# that the protocol stays data-race-free.
+# The streaming runner's reorder window is shared between workers and
+# the consumer under one mutex; ThreadSanitizer is the gate that
+# nothing touches it outside the lock. The threaded smoke runs 168
+# trials, more than the 64-slot window, so slots are reused.
 cmake -B build-tsan -S . -DLF_TSAN=ON
 cmake --build build-tsan -j "${JOBS}" \
     --target lf_run_test_runner lf_run_test_streaming \
@@ -58,8 +59,8 @@ cmake --build build-tsan -j "${JOBS}" \
 ./build-tsan/lf_run_test_hooks
 ./build-tsan/lf_campaign_test_campaign
 ./build-tsan/lf_campaign_test_campaign_files
-./build-tsan/lf_run --channel mt-eviction --cpu "Gold 6226" \
-    --sweep d=4:6:1 --trials 2 --threads 4 \
+./build-tsan/lf_run --channel nonmt-fast-eviction --cpu all \
+    --sweep d=4:6:1 --bits 4 --trials 14 --threads 4 \
     --json build-tsan/sweep-tsan.json --quiet
 
 echo "== documentation checks =="

@@ -158,13 +158,6 @@ preparedCacheThreadMisses()
     return t_preparedMisses;
 }
 
-std::size_t
-programCacheSize()
-{
-    std::lock_guard<std::mutex> lock(cache().mutex);
-    return cache().entries.size();
-}
-
 void
 clearProgramCache()
 {

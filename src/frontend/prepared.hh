@@ -69,9 +69,6 @@ PreparedChainPtr prepareLcpAddLoop(Addr base, LcpPattern pattern, int r,
 void setFastPathsEnabled(bool on);
 bool fastPathsEnabled();
 
-/** Entries currently in the process-wide prepared-chain cache. */
-std::size_t programCacheSize();
-
 /** @name Prepared-cache hit/miss accounting (src/obs)
  * A hit is a prepare*() call served from the process-wide cache; a
  * miss built a chain (including every call while the cache is

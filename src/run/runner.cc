@@ -1,13 +1,12 @@
 #include "run/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -35,28 +34,6 @@ runOne(const ExperimentSpec &spec)
         return out;
     }
 }
-
-/**
- * One completion slot of the reorder ring (Vyukov bounded-queue
- * style). Ticket i lives in slot i % window, and the slot's `seq`
- * encodes its state:
- *
- *   seq == i              free for the producer of ticket i
- *                         (initially seq == slot index; the consumer
- *                         recycles a consumed slot to i + window);
- *   seq == i + 1          ticket i's result is published and ready.
- *
- * The producer claims by observing seq == i, writes `result`, and
- * publishes with seq = i + 1; the consumer observes readiness, moves
- * the result out, and recycles with seq = i + window. seq is the only
- * synchronisation on the hot path — the mutex below is touched only
- * to park.
- */
-struct alignas(64) Slot
-{
-    std::atomic<std::uint64_t> seq{0};
-    ExperimentResult result;
-};
 
 } // namespace
 
@@ -152,73 +129,53 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         return;
     }
 
-    // Workers claim spec indices through an atomic ticket counter and
-    // publish into a ring of completion slots; the calling thread is
-    // the only consumer, delivering in spec order. The ring bounds
-    // how far workers run ahead of delivery, so memory stays
-    // O(threads + window) however large the batch is. All steady-
-    // state coordination is the per-slot seq atomics; `mutex` and the
-    // condvars exist only to park, and the Dekker-style flags below
-    // (`consumerParked`, `blockedWorkers`) make every wakeup
-    // conditional on somebody actually sleeping:
-    //  - producer publishes seq (seq_cst), then loads consumerParked;
-    //    the consumer stores consumerParked (seq_cst), then re-checks
-    //    seq — at least one side observes the other, so the consumer
-    //    never sleeps through a publish;
-    //  - symmetrically, a worker bumps blockedWorkers (seq_cst), then
-    //    re-checks its slot; the consumer recycles seq (seq_cst),
-    //    then loads blockedWorkers — a recycle never goes unnoticed.
+    // Workers claim spec indices (tickets) under one mutex and store
+    // each result in a bounded reorder window, ticket i in slot
+    // i % window; the calling thread is the only consumer, delivering
+    // in spec order. A worker holding a ticket a full window ahead of
+    // delivery waits for its slot to free, so memory stays
+    // O(threads + window) however large the batch is. Trials and
+    // callbacks run outside the lock, and each condition variable is
+    // signalled only while somebody waits on it.
     const std::size_t window = reorderWindowFor(workers);
-
-    auto slots = std::make_unique<Slot[]>(window);
-    for (std::size_t k = 0; k < window; ++k)
-        slots[k].seq.store(k, std::memory_order_relaxed);
-
+    std::vector<std::optional<ExperimentResult>> ring(window);
     std::mutex mutex;
-    std::condition_variable resultReady; // consumer parks here
-    std::condition_variable slotFree;    // workers park here
-    std::atomic<std::uint64_t> next{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> consumerParked{false};
-    std::atomic<int> blockedWorkers{0};
-    std::atomic<std::uint64_t> workerParks{0};
-    std::atomic<std::uint64_t> consumerParks{0};
-    std::atomic<std::uint64_t> wakeBroadcasts{0};
+    std::condition_variable resultReady; // the consumer waits here
+    std::condition_variable slotFree;    // workers wait here
+    std::size_t next = 0;      // next ticket to claim
+    std::size_t delivered = 0; // results handed to the callback
+    bool cancelled = false;
+    bool consumerParked = false;
+    int blockedWorkers = 0;
+    StreamStats stats;
 
     auto work = [&]() {
-        for (;;) {
-            const std::uint64_t i = next.fetch_add(1);
-            if (i >= n)
-                return;
-            Slot &slot = slots[i % window];
-            if (slot.seq.load() != i) {
-                // A full window ahead of delivery: park until the
-                // consumer recycles this slot.
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!cancelled && next < n) {
+            const std::size_t i = next++;
+            if (i >= delivered + window) {
                 obs::TraceScope park_span("worker_park");
-                std::unique_lock<std::mutex> lock(mutex);
-                workerParks.fetch_add(1, std::memory_order_relaxed);
-                blockedWorkers.fetch_add(1);
+                ++stats.workerParks;
+                ++blockedWorkers;
                 slotFree.wait(lock, [&] {
-                    return slot.seq.load() == i || cancelled.load();
+                    return cancelled || i < delivered + window;
                 });
-                blockedWorkers.fetch_sub(1);
+                --blockedWorkers;
+                if (cancelled)
+                    return;
             }
-            if (cancelled.load())
-                return;
+            const std::size_t delivered_at_start = delivered;
+            lock.unlock();
             if (trialProbe_)
-                trialProbe_(i, delivered.load());
+                trialProbe_(i, delivered_at_start);
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            slot.result = runOne(specs[i]);
+            ExperimentResult res = runOne(specs[i]);
             obs::traceComplete("trial", trial_start, i, true);
-            slot.seq.store(i + 1); // publish (seq_cst)
-            if (consumerParked.load()) {
-                // One consumer; taking the mutex serialises with its
-                // wait entry so the notify cannot be lost.
-                std::lock_guard<std::mutex> lock(mutex);
+            lock.lock();
+            ring[i % window] = std::move(res);
+            if (consumerParked && i == delivered)
                 resultReady.notify_one();
-            }
         }
     };
 
@@ -228,88 +185,63 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         pool.emplace_back(work);
 
     const auto shutdown = [&]() {
-        cancelled.store(true);
-        next.store(n); // no new tickets
         {
             std::lock_guard<std::mutex> lock(mutex);
+            cancelled = true;
             slotFree.notify_all();
         }
         for (std::thread &thread : pool)
             thread.join();
     };
 
-    // Park until pred() holds. pred reads only atomics, so checking
-    // it outside the mutex first keeps the fast path lock-free; the
-    // consumerParked handshake (see above) closes the sleep race.
-    const auto consumerWait = [&](auto &&pred) {
-        if (pred())
-            return;
-        obs::TraceScope park_span("consumer_park");
-        consumerParked.store(true);
-        consumerParks.fetch_add(1, std::memory_order_relaxed);
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            resultReady.wait(lock, pred);
+    // Wait for ticket d's result, free its slot, and hand the result
+    // to the callback. The slot is freed *before* the callback runs so
+    // workers stream on while the consumer writes rows; notify_all
+    // because parked workers wait on distinct tickets.
+    const auto deliver = [&](std::size_t d) {
+        std::unique_lock<std::mutex> lock(mutex);
+        std::optional<ExperimentResult> &slot = ring[d % window];
+        if (!slot) {
+            obs::TraceScope park_span("consumer_park");
+            ++stats.consumerParks;
+            consumerParked = true;
+            resultReady.wait(lock, [&] { return slot.has_value(); });
+            consumerParked = false;
         }
-        consumerParked.store(false);
-    };
-
-    // Hand one published slot to the callback. The slot is recycled
-    // *before* the callback runs so workers stream on while the
-    // consumer writes rows; at most the genuinely parked workers are
-    // woken (notify_all because they park on distinct slots — the
-    // non-matching ones re-check their seq and sleep again).
-    const auto deliver = [&](Slot &slot, std::uint64_t recycled_seq) {
-        ExperimentResult result = std::move(slot.result);
-        slot.result = ExperimentResult{};
-        if (metricsSink_ != nullptr || obs::traceEnabled()) {
-            // Window occupancy at this delivery: claimed tickets not
-            // yet handed to the callback. Sampled on the consumer
-            // only, so the histogram needs no synchronisation.
-            const std::uint64_t claimed =
-                std::min<std::uint64_t>(next.load(), n);
-            const std::uint64_t occ = claimed - delivered.load();
-            obs::traceCounter("window_occupancy", occ);
-            if (metricsSink_ != nullptr) {
-                count_outcome(result);
-                const std::size_t bucket = std::min<std::size_t>(
-                    static_cast<std::size_t>(occ) *
-                        obs::RunMetrics::kOccupancyBuckets / window,
-                    obs::RunMetrics::kOccupancyBuckets - 1);
-                ++metrics.windowOccupancy[bucket];
-            }
-        }
-        delivered.fetch_add(1);
-        slot.seq.store(recycled_seq); // recycle (seq_cst)
-        if (blockedWorkers.load() > 0) {
-            wakeBroadcasts.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex);
+        const ExperimentResult result = std::move(*slot);
+        slot.reset();
+        // Window occupancy at this delivery: claimed tickets not yet
+        // handed to the callback.
+        const std::size_t occ = next - delivered;
+        ++delivered;
+        if (blockedWorkers > 0) {
+            ++stats.wakeBroadcasts;
             slotFree.notify_all();
+        }
+        lock.unlock();
+        obs::traceCounter("window_occupancy", occ);
+        if (metricsSink_ != nullptr) {
+            count_outcome(result);
+            ++metrics.windowOccupancy[std::min<std::size_t>(
+                occ * obs::RunMetrics::kOccupancyBuckets / window,
+                obs::RunMetrics::kOccupancyBuckets - 1)];
         }
         on_result(result);
     };
 
     try {
-        for (std::uint64_t d = 0; d < n; ++d) {
-            Slot &slot = slots[d % window];
-            consumerWait([&] { return slot.seq.load() == d + 1; });
-            deliver(slot, d + window);
-        }
+        for (std::size_t d = 0; d < n; ++d)
+            deliver(d);
     } catch (...) {
         shutdown();
         throw;
     }
     shutdown();
-    if (statsSink_ != nullptr) {
-        statsSink_->workerParks = workerParks.load();
-        statsSink_->consumerParks = consumerParks.load();
-        statsSink_->wakeBroadcasts = wakeBroadcasts.load();
-    }
-    if (metricsSink_ != nullptr) {
-        metrics.workerParks = workerParks.load();
-        metrics.consumerParks = consumerParks.load();
-        metrics.wakeBroadcasts = wakeBroadcasts.load();
-    }
+    if (statsSink_ != nullptr)
+        *statsSink_ = stats;
+    metrics.workerParks = stats.workerParks;
+    metrics.consumerParks = stats.consumerParks;
+    metrics.wakeBroadcasts = stats.wakeBroadcasts;
     finish_metrics(window);
 }
 

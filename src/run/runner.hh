@@ -4,8 +4,8 @@
  *
  * Trials are embarrassingly parallel: each is a pure function of its
  * spec (seed included), so the runner fans a batch out across a
- * std::thread pool via an atomic work index; every trial builds its
- * own TrialContext and Core (runExperiment()).
+ * std::thread pool that claims spec indices in order; every trial
+ * builds its own TrialContext and Core (runExperiment()).
  *
  * Results *stream*: run(specs, callback) delivers each result on the
  * calling thread as it becomes available, so sinks can write rows and
@@ -18,16 +18,14 @@
  * of a slow consumer. The batch run() overload is a thin wrapper that
  * collects the stream into a vector.
  *
- * The reorder window is a ring of completion slots, one per in-flight
- * ticket (see runner.cc for the claim protocol). Workers publish and
- * the consumer collects through per-slot atomics; the shared mutex
- * and condition variables are touched only when a thread actually has
- * to park — a worker because its slot has not been recycled yet (it
- * is a full window ahead of delivery), the consumer because the next
- * result is not in yet. On the contended path of the old
- * implementation every delivered row broadcast to every worker; now a
- * delivery signals at most the workers that are genuinely blocked,
- * and an idle window costs no wakeups at all.
+ * The reorder window is one slot per in-flight ticket (ticket i in
+ * slot i % window), guarded by a single mutex with two condition
+ * variables: workers wait on one when they hold a ticket a full
+ * window ahead of delivery, the consumer waits on the other when the
+ * next result is not in yet. A trial runs for milliseconds outside
+ * the lock, so the lock is held only to claim, store and collect.
+ * Each side signals the other only while it is actually waiting, so
+ * an idle window costs no wakeups.
  */
 
 #ifndef LF_RUN_RUNNER_HH

@@ -125,8 +125,10 @@ class Core
 
     /** @name SGX (used by the sgx module) */
     /// @{
-    /** Charge an enclave entry/exit: advances time and flushes the
-     *  thread's pipeline-local frontend state. */
+    /** Charge an enclave entry or exit: advances time by
+     *  model.sgx.entryCycles (plus jitter), the one cost both
+     *  transitions pay, and flushes the thread's pipeline-local
+     *  frontend state. */
     void enclaveTransition(ThreadId tid);
     /// @}
 

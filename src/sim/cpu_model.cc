@@ -182,8 +182,6 @@ applyModelOverride(CpuModel &model, const std::string &key,
         model.deadlockKcycles = as_cycles();
     else if (knob == "sgxEntryCycles")
         model.sgx.entryCycles = as_cycles();
-    else if (knob == "sgxExitCycles")
-        model.sgx.exitCycles = as_cycles();
     else if (knob == "sgxEntryJitterStddev")
         model.sgx.entryJitterStddev = value;
     else if (knob == "raplUpdateIntervalUs")
@@ -206,8 +204,8 @@ modelOverrideKeys()
             "model.spikeCycles", "model.tscOverhead",
             "model.syncCycles", "model.jitterPerKcycle",
             "model.deadlock_kcycles",
-            "model.sgxEntryCycles", "model.sgxExitCycles",
-            "model.sgxEntryJitterStddev", "model.raplUpdateIntervalUs",
+            "model.sgxEntryCycles", "model.sgxEntryJitterStddev",
+            "model.raplUpdateIntervalUs",
             "model.raplQuantumMicroJoules",
             "model.raplNoiseStddevMicroJoules"};
 }

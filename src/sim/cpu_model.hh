@@ -48,12 +48,13 @@ struct TimingNoise
     double jitterPerKcycle = 2.0;
 };
 
-/** SGX cost model (enclaves modelled as entry/exit overheads). */
+/** SGX cost model (enclaves modelled as entry/exit overheads). One
+ *  cost, entryCycles plus entryJitterStddev, applies to every enclave
+ *  transition: entry and exit alike. */
 struct SgxParams
 {
     bool supported = false;
     Cycles entryCycles = 3200;
-    Cycles exitCycles = 3200;
     double entryJitterStddev = 350.0;
 };
 
@@ -114,8 +115,8 @@ const CpuModel *findCpuModel(const std::string &name);
  * ("model.noiseStddevCycles", "model.spikeProb", "model.spikeCycles",
  * "model.jitterPerKcycle", "model.tscOverhead", "model.syncCycles"),
  * the deadlock guard ("model.deadlock_kcycles"),
- * SGX transition costs ("model.sgxEntryCycles", "model.sgxExitCycles",
- * "model.sgxEntryJitterStddev"), and RAPL behaviour
+ * SGX transition costs ("model.sgxEntryCycles",
+ * "model.sgxEntryJitterStddev", one cost for entry and exit), and RAPL behaviour
  * ("model.raplUpdateIntervalUs", "model.raplQuantumMicroJoules",
  * "model.raplNoiseStddevMicroJoules").
  *

@@ -9,14 +9,17 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hh"
 #include "run/runner.hh"
+#include "run/sinks.hh"
 
 namespace lf {
 namespace {
@@ -113,6 +116,55 @@ TEST(StatsSink, SubWindowBatchNeedsNoWorkerParksOrBroadcasts)
     runner.run(specs);
     EXPECT_EQ(stats.workerParks, 0u);
     EXPECT_EQ(stats.wakeBroadcasts, 0u);
+}
+
+TEST(StatsSink, StalledConsumerParksWorkersAndBroadcastsWakeups)
+{
+    // The first callback stalls until a worker has started ticket
+    // `window` (the last one the window admits while one result is
+    // delivered), then a little longer, so workers that finish claim
+    // tickets past the window and park. The next delivery frees a
+    // slot and must wake them.
+    ExperimentRunner runner(4);
+    const std::size_t window = runner.reorderWindow();
+    ExperimentSpec base;
+    base.channel = "nonmt-fast-eviction";
+    base.cpu = "Gold 6226";
+    base.seed = 31;
+    base.messageBits = 2;
+    base.preambleBits = 2;
+    const auto specs = expandTrials(base, static_cast<int>(window) + 40);
+
+    std::mutex mutex;
+    std::condition_variable probed;
+    bool window_started = false;
+    runner.setTrialProbe([&](std::size_t index, std::size_t) {
+        if (index != window)
+            return;
+        std::lock_guard<std::mutex> lock(mutex);
+        window_started = true;
+        probed.notify_all();
+    });
+    StreamStats stats;
+    runner.setStatsSink(&stats);
+
+    std::vector<ExperimentResult> rows;
+    runner.run(specs, [&](const ExperimentResult &res) {
+        if (rows.empty()) {
+            std::unique_lock<std::mutex> lock(mutex);
+            EXPECT_TRUE(probed.wait_for(lock, std::chrono::seconds(60),
+                                        [&] { return window_started; }))
+                << "no worker reached ticket " << window;
+            lock.unlock();
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+        rows.push_back(res);
+    });
+    EXPECT_GE(stats.workerParks, 1u);
+    EXPECT_GE(stats.wakeBroadcasts, 1u);
+
+    EXPECT_EQ(JsonSink("stall").render(rows),
+              JsonSink("stall").render(ExperimentRunner(1).run(specs)));
 }
 
 TEST(MetricsSink, TotalsAddUpAndHistogramCoversEveryTrial)

@@ -254,6 +254,15 @@ TEST(ModelOverrides, UnknownAndInvalidKeysBecomeErrorRows)
     EXPECT_NE(res.error.find("unknown model override"),
               std::string::npos);
 
+    // Entry and exit share one transition cost (model.sgxEntryCycles);
+    // there is no separate exit knob to accept and ignore.
+    spec.overrides.clear();
+    spec.overrides["model.sgxExitCycles"] = 100000;
+    res = runExperiment(spec);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("unknown model override"),
+              std::string::npos);
+
     spec.overrides.clear();
     spec.overrides["model.freqGhz"] = 0.0;
     res = runExperiment(spec);
