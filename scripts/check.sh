@@ -106,6 +106,17 @@ echo "== ASan/UBSan: sweep smoke test =="
     --json build-asan/sweep-smoke-t1.json --quiet
 cmp build-asan/sweep-smoke.json build-asan/sweep-smoke-t1.json
 
+echo "== ASan/UBSan: SGX-MT step-skip replay smoke =="
+# Skipped MT steps replay the receiver's timing noise from a recorded
+# history; the sweep runs that replay at two step counts.
+./build-asan/lf_run --channel sgx-mt-eviction --cpu E-2174G \
+    --sweep sgxMtSteps=20:40:20 --bits 4 --trials 2 --threads 4 \
+    --json build-asan/sgx-mt-smoke.json --quiet
+./build-asan/lf_run --channel sgx-mt-eviction --cpu E-2174G \
+    --sweep sgxMtSteps=20:40:20 --bits 4 --trials 2 --threads 1 \
+    --json build-asan/sgx-mt-smoke-t1.json --quiet
+cmp build-asan/sgx-mt-smoke.json build-asan/sgx-mt-smoke-t1.json
+
 echo "== ASan/UBSan: defense-grid smoke test =="
 (cd build-asan && ./table_defenses --smoke > /dev/null)
 

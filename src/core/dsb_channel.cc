@@ -1,5 +1,8 @@
 #include "core/dsb_channel.hh"
 
+#include <cstdint>
+#include <vector>
+
 #include "common/logging.hh"
 #include "sim/executor.hh"
 #include "sim/steady_state.hh"
@@ -102,9 +105,46 @@ DsbChannel::runMtSteps(bool bit, int steps, int meas)
     runLoopIters(core_, kReceiver, *receiver_,
                  static_cast<std::uint64_t>(cfg_.initIters));
 
+    // The receiver's timing noise is read-side: it feeds only `sum`,
+    // never the machine. So the skipper leaves the RNG out of the
+    // state, and a skip replays the noise on the true cycles of the
+    // last period's samples, kept here for the last kMaxPeriod steps.
+    // A huge per-step sample count would make that history huge, so
+    // such loops run without skipping.
+    constexpr int kMaxPeriod = SteadyStateSkipper::kMaxPeriod;
+    constexpr int kMaxRecordedMeas = 1 << 16;
+    const bool skippable = meas <= kMaxRecordedMeas;
+    SteadyStateSkipper skipper(core_, steps, /*include_rng=*/false);
+    std::vector<Cycles> history(
+        skippable ? static_cast<std::size_t>(kMaxPeriod * meas) : 0);
+    const auto samplesOf = [&](int step) {
+        return history.data() +
+            static_cast<std::size_t>((step % kMaxPeriod) * meas);
+    };
+
     double sum = 0.0;
-    int samples = 0;
+    std::uint64_t samples = 0;
     for (int step = 0; step < steps; ++step) {
+        if (skippable) {
+            // Step boundary: the state here repeating the state p
+            // steps back repeats every later stretch of p steps.
+            const int resume = skipper.atBoundary(step);
+            if (resume != step) {
+                const int period = skipper.period();
+                for (int rep = 0; rep < (resume - step) / period; ++rep) {
+                    for (int s = step - period; s < step; ++s) {
+                        const Cycles *cycles = samplesOf(s);
+                        for (int k = 0; k < meas; ++k) {
+                            sum += core_.noisyMeasurement(
+                                static_cast<double>(cycles[k]));
+                        }
+                    }
+                }
+                samples += static_cast<std::uint64_t>(resume - step) *
+                    static_cast<std::uint64_t>(meas);
+                step = resume;
+            }
+        }
         if (bit) {
             // Encode step: waking the sender partitions the DSB
             // (invalidation toggle); the sender then keeps looping
@@ -119,16 +159,21 @@ DsbChannel::runMtSteps(bool bit, int steps, int meas)
         }
         // Decode: the receiver times its own loop, concurrently with
         // the sender when a 1 is being encoded.
+        Cycles *recorded = skippable ? samplesOf(step) : nullptr;
         for (int k = 0; k < meas; ++k) {
             chargeMeasurementOverhead();
-            sum += timedLoopIters(core_, kReceiver, *receiver_, 1);
+            const Cycles cycles = runLoopIters(core_, kReceiver,
+                                               *receiver_, 1);
+            sum += core_.noisyMeasurement(static_cast<double>(cycles));
             ++samples;
+            if (recorded != nullptr)
+                recorded[k] = cycles;
         }
         if (bit)
             core_.clearProgram(kSender); // second invalidation toggle
     }
     core_.clearProgram(kReceiver);
-    return sum / samples;
+    return sum / static_cast<double>(samples);
 }
 
 NonMtChannel::NonMtChannel(Core &core, const ChannelConfig &config,

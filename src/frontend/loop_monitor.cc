@@ -121,7 +121,11 @@ void
 LoopMonitor::appendState(std::vector<std::uint64_t> &out) const
 {
     out.push_back(head_);
-    out.push_back(static_cast<std::uint64_t>(stableIters_));
+    // Only stableIters_ >= warmupIters_ is observable, and past it
+    // the count only grows or resets: saturate, so a loop that stays
+    // captured (the MT receiver's, across steps) has a repeating state.
+    out.push_back(static_cast<std::uint64_t>(
+        std::min(stableIters_, warmupIters_)));
     out.push_back(accum_.size());
     for (const ChunkRecord &record : accum_) {
         out.push_back(record.key);

@@ -220,12 +220,14 @@ Core::steadySkipAllowed() const
 }
 
 void
-Core::appendSteadyState(std::vector<std::uint64_t> &out) const
+Core::appendSteadyState(std::vector<std::uint64_t> &out,
+                        bool include_rng) const
 {
     out.push_back(staticPartition_ ? 1 : 0);
     engine_.appendState(out);
     backend_.appendState(out);
-    rng_.appendState(out);
+    if (include_rng)
+        rng_.appendState(out);
 }
 
 void

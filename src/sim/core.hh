@@ -149,9 +149,11 @@ class Core
     bool steadySkipAllowed() const;
 
     /** Append the canonical machine state: staticPartition, the
-     *  frontend and backend state, and the RNG (so a draw between two
-     *  snapshots makes them differ). No totals. */
-    void appendSteadyState(std::vector<std::uint64_t> &out) const;
+     *  frontend and backend state, and, with @p include_rng, the RNG
+     *  (so a draw between two snapshots makes them differ). No
+     *  totals. */
+    void appendSteadyState(std::vector<std::uint64_t> &out,
+                           bool include_rng = true) const;
 
     /** Append every monotone total, in the order skipPeriods() reads
      *  them. */

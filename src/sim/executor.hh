@@ -35,24 +35,6 @@ runLoopIters(Core &core, ThreadId tid, const PreparedChain &prepared,
 }
 
 /**
- * Timed variant: measured duration (cycles) including the Core's TSC
- * noise model.
- */
-inline double
-timedLoopIters(Core &core, ThreadId tid, const ChainProgram &chain,
-               std::uint64_t iters)
-{
-    return core.timedRun(tid, iters * chain.instsPerIteration);
-}
-
-inline double
-timedLoopIters(Core &core, ThreadId tid, const PreparedChain &prepared,
-               std::uint64_t iters)
-{
-    return timedLoopIters(core, tid, prepared.chain, iters);
-}
-
-/**
  * Bind the chain, run @p warmup_iters to reach steady state, then run
  * @p iters more and return the per-iteration average of the steady
  * phase (no noise applied — used by calibration code and tests).

@@ -4,8 +4,10 @@
 
 namespace lf {
 
-SteadyStateSkipper::SteadyStateSkipper(Core &core, int rounds)
-    : core_(core), rounds_(rounds), active_(core.steadySkipAllowed())
+SteadyStateSkipper::SteadyStateSkipper(Core &core, int rounds,
+                                       bool include_rng)
+    : core_(core), rounds_(rounds), includeRng_(include_rng),
+      active_(core.steadySkipAllowed())
 {
 }
 
@@ -34,13 +36,13 @@ SteadyStateSkipper::atBoundary(int round)
             snapRound_ = round;
             snapTotals_ = totals_;
             snapState_.clear();
-            core_.appendSteadyState(snapState_);
+            core_.appendSteadyState(snapState_, includeRng_);
         }
         return round;
     }
 
     state_.clear();
-    core_.appendSteadyState(state_);
+    core_.appendSteadyState(state_, includeRng_);
     const int period = round - snapRound_;
     if (state_ != snapState_) {
         if (period == kMaxPeriod) {
@@ -54,6 +56,7 @@ SteadyStateSkipper::atBoundary(int round)
     // Fewer than `period` rounds remain after the skip, so the
     // detector retires.
     active_ = false;
+    period_ = period;
     const int n = (rounds_ - 1 - round) / period;
     if (n > 0) {
         for (std::size_t i = 0; i < totals_.size(); ++i)

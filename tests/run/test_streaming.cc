@@ -215,7 +215,9 @@ TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
     // Inputs: zero-noise cells, default-noise cells, a handful of
     // environment-noise cells, and defended cells of the loop-bound
     // families: a flush quantum (steady-state skipping is refused)
-    // and randomized sets.
+    // and randomized sets. Neither grid CPU has SMT and SGX both, so
+    // the SGX-MT cells (whose step skipping replays the receiver's
+    // timing noise) run on E-2174G.
     std::vector<ExperimentSpec> specs = quietGrid();
     const auto &registry = registryGrid();
     for (std::size_t i = 0; i < registry.size(); ++i) {
@@ -238,6 +240,20 @@ TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
                               {"sgxRounds", 400},
                               {"powerRounds", 800}};
             specs.push_back(std::move(spec));
+        }
+    }
+    std::vector<std::size_t> sgx_mt_cells;
+    for (const char *channel :
+         {"sgx-mt-eviction", "sgx-mt-misalignment"}) {
+        ExperimentSpec spec;
+        spec.channel = channel;
+        spec.cpu = "E-2174G";
+        spec.seed = 37;
+        spec.messageBits = 4;
+        spec.overrides = {{"sgxMtSteps", 40}};
+        for (ExperimentSpec &trial : expandTrials(spec, 2)) {
+            sgx_mt_cells.push_back(specs.size());
+            specs.push_back(std::move(trial));
         }
     }
 
@@ -274,6 +290,16 @@ TEST(StreamingRunner, FastPathsMatchTheReferenceMode)
                         << info.name << " of trial " << i << " ("
                         << res.spec.channel << ", " << res.spec.cpu
                         << ") threads=" << threads;
+                }
+            }
+            // The SGX-MT comparison is not vacuous: those cells did
+            // skip steps.
+            for (const std::size_t i : sgx_mt_cells) {
+                ASSERT_TRUE(results[i].ok) << results[i].error;
+                if (counters_on) {
+                    EXPECT_GT(results[i].counters->steadySkippedCycles, 0u)
+                        << results[i].spec.channel
+                        << " threads=" << threads;
                 }
             }
         }

@@ -1,11 +1,13 @@
 /**
  * @file
  * Steady-state round skipping (sim/steady_state.hh): the loop-bound
- * channels skip almost all of their rounds at the registry's default
- * round counts and still match the reference mode exactly, a
- * domain-switch hook refuses the skip, and the canonical state ignores
- * exactly what is unobservable (way placement, LRU stamps) while
- * catching what is not (recency order, RNG draws).
+ * channels skip almost all of their rounds, and the MT channels many
+ * of their encode steps, at the registry's defaults and still match
+ * the reference mode exactly, a domain-switch hook refuses the skip,
+ * and the canonical state ignores exactly what is unobservable (way
+ * placement, LRU stamps, a loop's stable count past warm-up, read-side
+ * noise draws when the RNG is left out) while catching what is not
+ * (recency order, RNG draws when it is included).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "frontend/dsb.hh"
+#include "frontend/loop_monitor.hh"
 #include "frontend/prepared.hh"
 #include "obs/counters.hh"
 #include "run/experiment.hh"
@@ -104,6 +107,27 @@ TEST(SteadyState, LoopBoundChannelsSkipAlmostEveryCycleExactly)
     EXPECT_GT(skippedShare(expectReferenceCounters(sgx)), 0.99);
 }
 
+TEST(SteadyState, MtStepLoopsSkipWithTheNoiseReplayed)
+{
+    // Registry defaults: 100 steps of 20 receiver samples per SGX-MT
+    // bit, 20 steps of 10 per MT bit. Every skipped sample still draws
+    // its timing noise, so the rows match only if the replay keeps
+    // the RNG stream in order.
+    ExperimentSpec sgx_mt = loopBoundSpec("sgx-mt-eviction");
+    sgx_mt.cpu = "E-2174G";
+    EXPECT_GT(skippedShare(expectReferenceCounters(sgx_mt)), 0.85);
+
+    // 20 steps leave fewer whole periods to skip. A misalignment
+    // step's first sample is faster than the rest, so its replay
+    // also pins the sample order within a step.
+    for (const char *channel : {"mt-eviction", "mt-misalignment"}) {
+        ExperimentSpec mt = loopBoundSpec(channel);
+        mt.cpu = "E-2174G";
+        EXPECT_GT(skippedShare(expectReferenceCounters(mt)), 0.2)
+            << channel;
+    }
+}
+
 TEST(SteadyState, DomainSwitchHookRefusesTheSkip)
 {
     ExperimentSpec spec = loopBoundSpec("power-eviction");
@@ -162,6 +186,50 @@ TEST(SteadyState, DsbStateKeepsRecencyOrderOnly)
         reordered.insert(0, keyInSet3(i), 4);
     reordered.lookup(0, keyInSet3(1));
     EXPECT_NE(stateOf(reordered), stateOf(plain));
+}
+
+/** A monitor that closed @p iters iterations of one three-block loop. */
+std::vector<std::uint64_t>
+loopStateAfter(const FrontendParams &params, int iters)
+{
+    LoopMonitor monitor(params);
+    const std::vector<Addr> keys = {0x1000, 0x1400, 0x1800};
+    monitor.recordTakenBranch(0x1814, 0x1000); // found the candidate
+    for (int it = 0; it < iters; ++it) {
+        for (const Addr key : keys)
+            monitor.recordChunk({key, 5, true, true});
+        monitor.recordTakenBranch(0x1814, 0x1000);
+    }
+    std::vector<std::uint64_t> out;
+    monitor.appendState(out);
+    return out;
+}
+
+TEST(SteadyState, LoopStateSaturatesAtWarmup)
+{
+    FrontendParams params;
+    params.lsdWarmupIters = 3;
+    // Past warm-up only "stable enough" is observable.
+    EXPECT_EQ(loopStateAfter(params, 3), loopStateAfter(params, 7));
+    // Below it, the count decides when the LSD engages.
+    EXPECT_NE(loopStateAfter(params, 1), loopStateAfter(params, 2));
+}
+
+TEST(SteadyState, TheRngCanBeLeftOutOfTheState)
+{
+    Core core(gold6226(), 5);
+    std::vector<std::uint64_t> with_rng;
+    std::vector<std::uint64_t> machine;
+    core.appendSteadyState(with_rng);
+    core.appendSteadyState(machine, /*include_rng=*/false);
+    ASSERT_NE(gold6226().noise.stddevCycles, 0.0);
+    core.noisyMeasurement(1000.0);
+    std::vector<std::uint64_t> with_rng_after;
+    std::vector<std::uint64_t> machine_after;
+    core.appendSteadyState(with_rng_after);
+    core.appendSteadyState(machine_after, /*include_rng=*/false);
+    EXPECT_NE(with_rng_after, with_rng);
+    EXPECT_EQ(machine_after, machine);
 }
 
 TEST(SteadyState, AnRngDrawChangesTheCoreState)
